@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import (FeatureMatrix, as_features, avg_knn_distance,
                            baseline_graph)
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
-                     ParameterError, UndefinedRatioError)
+                     NumericError, ParameterError, UndefinedRatioError)
 from .graph import Partition, WeightedGraph, cut_value
 from .propagation import LabelSet, grf_propagate
 from .ranking import (common_neighbor_counts, eta_connectivity,
@@ -160,9 +160,10 @@ def _partitions_for_graph(graph, cfg, labels, cand_seed, min_side):
     if cfg.task == "ssl":
         try:
             out.append(("grf", grf_propagate(graph, labels)))
-        except ConstraintError:
-            # a modulated graph may strand unlabeled components; that grid
-            # point simply contributes no candidate
+        except (ConstraintError, NumericError):
+            # a modulated graph may strand unlabeled components, or tie them
+            # to the labels only by weights below rounding so the harmonic
+            # system is singular; that grid point contributes no candidate
             pass
         return out
     flavors = [("sc", cfg.variant)]
@@ -236,7 +237,7 @@ def _similarity_candidates(f: FeatureMatrix, cfg, labels):
 
 def _connectivity_candidates(g: WeightedGraph, cfg, labels):
     counts = common_neighbor_counts(g)
-    ranks = rank(eta_connectivity(g))
+    ranks = rank(eta_connectivity(g, counts=counts))
     points = [(lam, None, None) for lam in cfg.lambdas()]
 
     def build(params):

@@ -7,9 +7,11 @@ the same order and reports are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import InputError
 
@@ -168,22 +170,12 @@ def degrees(g: WeightedGraph) -> np.ndarray:
 
 def connected_components(g: WeightedGraph) -> Partition:
     """Label the maximal connected subgraphs, numbered by first occurrence."""
-    label = -np.ones(g.n, dtype=np.int64)
-    adj = g.adjacency()
-    comp = 0
-    for start in range(g.n):
-        if label[start] >= 0:
-            continue
-        stack = [start]
-        label[start] = comp
-        while stack:
-            x = stack.pop()
-            for y in np.flatnonzero(adj[x]):
-                if label[y] < 0:
-                    label[y] = comp
-                    stack.append(y)
-        comp += 1
-    return Partition(assignment=label, K=comp)
+    u, v, w = g.edge_arrays()
+    a = sparse.coo_matrix((w, (u, v)), shape=(g.n, g.n))
+    # scipy starts a new component at each unlabelled node in id order,
+    # which is first-occurrence numbering (pinned by tests/test_graph.py)
+    count, label = _csgraph_components(a, directed=False)
+    return Partition(assignment=label, K=count)
 
 
 def largest_component_nodes(g: WeightedGraph) -> np.ndarray:

@@ -88,14 +88,16 @@ def common_neighbor_counts(g: WeightedGraph) -> np.ndarray:
     return np.rint(a @ a).astype(np.int64)
 
 
-def eta_connectivity(g: WeightedGraph) -> np.ndarray:
+def eta_connectivity(g: WeightedGraph,
+                     counts: np.ndarray | None = None) -> np.ndarray:
     """Negated mean common-neighbor count over each node's neighbors.
 
     Isolated nodes get 0: every other node's value is nonpositive, so they
-    sort as the lowest-density nodes.
+    sort as the lowest-density nodes. Pass `counts` when the caller already
+    holds common_neighbor_counts(g).
     """
     adj = g.adjacency()
-    s = common_neighbor_counts(g)
+    s = common_neighbor_counts(g) if counts is None else counts
     deg = adj.sum(axis=1)
     eta = np.zeros(g.n)
     nz = deg > 0

@@ -3,10 +3,12 @@ import pytest
 
 from pcut.engine import (CandidateCut, PCutConfig, cut_ratio_diagnostics,
                          generate_candidates, mix_seed, pcut_select)
-from pcut.errors import (NoFeasiblePartitionError, ParameterError,
-                         UndefinedRatioError)
+from pcut.errors import (NoFeasiblePartitionError, NumericError,
+                         ParameterError, UndefinedRatioError)
 from pcut.graph import Partition, WeightedGraph, cut_value
-from pcut.propagation import LabelSet
+from pcut.construction import avg_knn_distance
+from pcut.propagation import LabelSet, grf_scores
+from pcut.rmd import rmd_similarity_graph
 from pcut.synth import gaussian_mixture
 
 
@@ -97,6 +99,25 @@ class TestGenerateCandidates:
         # the propagated partition keeps the seeded labels
         for node, cls in ls.labeled:
             assert cands[0].partition.assignment[node] == cls
+
+    def test_ssl_skips_numerically_singular_grid_point(self):
+        # The unlabeled pair at x = 4 reaches the labeled clusters only by
+        # RBF weights about 1e-80 times its own tie: at sigma exponent -5 the
+        # harmonic system rounds to singular; at -6 those weights underflow
+        # and strand the pair.
+        x = np.array([[0.0, 0], [0.1, 0], [4.0, 0], [4.1, 0], [10.0, 0], [10.1, 0]])
+        ls = LabelSet(labeled=((0, 0), (1, 0), (4, 1), (5, 1)), K=2)
+        sigma = {j: 2.0 ** j * avg_knn_distance(x, 2) for j in (-6, -5, -4)}
+        singular = rmd_similarity_graph(x, np.full(6, 0.5), 1.0, 2,
+                                        weights="rbf", sigma=sigma[-5])
+        with pytest.raises(NumericError):
+            grf_scores(singular, ls)
+        cfg = PCutConfig(K=2, task="ssl", modality="similarity", delta=0.1,
+                         lambda_grid=(1.0,), k_grid=(2,),
+                         sigma_exponents=(-6, -5, -4), seed=0)
+        cands = generate_candidates(x, cfg, labels=ls)
+        assert [c.sigma for c in cands] == [sigma[-4]]
+        assert pcut_select(cands) is cands[0]
 
 
 class TestPcutSelect:

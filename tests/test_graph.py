@@ -103,6 +103,39 @@ class TestComponents:
         assert comps.K == 2
         assert comps.assignment.tolist() == [0, 0, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_first_occurrence_dfs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        p = rng.uniform(0.0, 0.15)
+        edges = [(u, v, rng.uniform(0.1, 2.0)) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < p]
+        g = WeightedGraph(n, edges)
+        comps = connected_components(g)
+        expected, K = _dfs_components(g)
+        assert comps.K == K
+        assert np.array_equal(comps.assignment, expected)
+
+
+def _dfs_components(g):
+    """Reference labelling: DFS from each unlabeled node in id order."""
+    label = -np.ones(g.n, dtype=np.int64)
+    adj = g.adjacency()
+    comp = 0
+    for start in range(g.n):
+        if label[start] >= 0:
+            continue
+        stack = [start]
+        label[start] = comp
+        while stack:
+            x = stack.pop()
+            for y in np.flatnonzero(adj[x]):
+                if label[y] < 0:
+                    label[y] = comp
+                    stack.append(y)
+        comp += 1
+    return label, comp
+
 
 class TestConstruction:
     def test_self_loop_rejected(self):

@@ -6,8 +6,8 @@ from pcut.construction import baseline_graph
 from pcut.errors import InputError, ParameterError
 from pcut.graph import WeightedGraph
 from pcut.ranking import (GaussianDensity, GaussianMixtureDensity,
-                          eta_connectivity, eta_similarity, level_set_mass,
-                          rank)
+                          common_neighbor_counts, eta_connectivity,
+                          eta_similarity, level_set_mass, rank)
 from pcut.synth import gaussian_mixture
 
 
@@ -65,6 +65,16 @@ class TestEtaConnectivity:
         eta = eta_connectivity(g)
         assert eta[3] == 0.0
         assert eta[3] >= eta[:3].max()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_passed_counts_give_identical_ranks(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
+                 if rng.random() < 0.1]
+        g = WeightedGraph(60, edges)
+        eta = eta_connectivity(g, counts=common_neighbor_counts(g))
+        assert np.array_equal(eta, eta_connectivity(g))
+        assert np.array_equal(rank(eta), rank(eta_connectivity(g)))
 
 
 class TestRank:
