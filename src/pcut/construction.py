@@ -1,8 +1,14 @@
 """Similarity-network graph construction from feature data.
 
-All neighbor searches are brute force over the full distance matrix; at the
-sample sizes this package targets (a few thousand points) that is faster and
-simpler than a spatial index, and it keeps results exactly reproducible.
+Every nearest-neighbor search reads one neighbor table per FeatureMatrix
+(`FeatureMatrix.neighbors`): each node's nearest other nodes in stable
+distance order with their distances, found by brute force (one distance
+matrix, one stable argsort) and memoised on the instance. At the sample
+sizes this package targets (a few thousand points) brute force is faster
+and simpler than a spatial index, and the stable order keeps results
+exactly reproducible. Only the table's first columns are kept, so no n x n
+array outlives the call that builds it. Edge sets and RBF weights are array
+expressions over the table.
 """
 
 from __future__ import annotations
@@ -40,6 +46,30 @@ class FeatureMatrix:
     def d(self) -> int:
         return self.x.shape[1]
 
+    def neighbors(self, width: int):
+        """(ids, dists), each n x width and read-only: row v lists the
+        `width` nearest other nodes of v, nearest first, ties to the lower
+        id, and their distances.
+
+        Memoised on the instance. A call for more columns than the memo holds
+        recomputes it, so a caller that makes several searches asks for the
+        widest first.
+        """
+        if not 1 <= width < self.n:
+            raise ParameterError(
+                f"width must satisfy 1 <= width < n, got {width}, n={self.n}")
+        table = self.__dict__.get("_neighbors")
+        if table is None or table[0].shape[1] < width:
+            d = cdist(self.x, self.x)
+            np.fill_diagonal(d, np.inf)
+            ids = np.argsort(d, axis=1, kind="stable")[:, :width].copy()
+            table = (ids, np.take_along_axis(d, ids, axis=1))
+            for a in table:
+                a.flags.writeable = False
+            object.__setattr__(self, "_neighbors", table)
+        ids, dists = table
+        return ids[:, :width], dists[:, :width]
+
 
 def as_features(f) -> FeatureMatrix:
     if isinstance(f, FeatureMatrix):
@@ -63,34 +93,36 @@ def rbf_weight(dist, sigma: float):
     return np.exp(-(dist * dist) / (2.0 * sigma * sigma))
 
 
-def _edges_from_selection(dist, k_per_node):
-    """Union-symmetrized nearest-neighbor edge set with per-node counts.
+def _edges_from_selection(ids, dists, k_per_node):
+    """Union-symmetrized nearest-neighbor edges with per-node counts.
 
-    Ties at the k-th distance break toward the lower node id (stable sort).
+    Node v selects the first k_per_node[v] entries of its row of the
+    neighbor table (ids, dists). Returns (u, v, dist) arrays with u < v,
+    sorted by (u, v).
     """
-    n = dist.shape[0]
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    pairs = set()
-    for v in range(n):
-        kv = int(k_per_node[v])
-        for w in order[v, :kv]:
-            w = int(w)
-            pairs.add((v, w) if v < w else (w, v))
-    return sorted(pairs)
+    n = ids.shape[0]
+    picked = np.arange(ids.shape[1]) < k_per_node[:, None]
+    src = np.repeat(np.arange(n), k_per_node)
+    dst = ids[picked]
+    e = src.size
+    # one sort of (pair, selection index) keys, below n^2 * e < 2^63: a pair
+    # both ends select keeps its first selection, i.e. the lower id's row
+    key = np.sort((np.minimum(src, dst) * n + np.maximum(src, dst)) * e
+                  + np.arange(e))
+    pairs = key // e
+    first = np.ones(e, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[first]
+    return pairs // n, pairs % n, dists[picked][key[first] % e]
 
 
-def _weighted_edges(pairs, dist, weights, sigma):
+def _weighted_graph(n, u, v, dist, weights, sigma) -> WeightedGraph:
     if weights == "unit":
-        return [(u, v, 1.0) for u, v in pairs]
+        return WeightedGraph.from_arrays(n, u, v)
     if weights == "rbf":
-        out = []
-        for u, v in pairs:
-            w = float(rbf_weight(dist[u, v], sigma))
-            if w > 0.0:  # exp underflow at extreme distances means "no edge"
-                out.append((u, v, w))
-        return out
+        w = rbf_weight(dist, sigma)
+        keep = w > 0.0  # exp underflow at extreme distances means "no edge"
+        return WeightedGraph.from_arrays(n, u[keep], v[keep], w[keep])
     raise ParameterError(f"unknown weighting {weights!r}")
 
 
@@ -99,9 +131,9 @@ def knn_graph(f, k: int, weights: str = "unit", sigma: float | None = None) -> W
     f = as_features(f)
     if not 1 <= k < f.n:
         raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={f.n}")
-    dist = pairwise_distances(f)
-    pairs = _edges_from_selection(dist, np.full(f.n, k))
-    return WeightedGraph(f.n, _weighted_edges(pairs, dist, weights, sigma))
+    ids, dists = f.neighbors(k)
+    u, v, dist = _edges_from_selection(ids, dists, np.full(f.n, k))
+    return _weighted_graph(f.n, u, v, dist, weights, sigma)
 
 
 def epsilon_graph(f, eps: float, weights: str = "unit", sigma: float | None = None) -> WeightedGraph:
@@ -109,20 +141,17 @@ def epsilon_graph(f, eps: float, weights: str = "unit", sigma: float | None = No
     f = as_features(f)
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    dist = pairwise_distances(f)
     iu, iv = np.triu_indices(f.n, 1)
-    mask = dist[iu, iv] <= eps
-    pairs = list(zip(iu[mask].tolist(), iv[mask].tolist()))
-    return WeightedGraph(f.n, _weighted_edges(pairs, dist, weights, sigma))
+    dist = pairwise_distances(f)[iu, iv]
+    mask = dist <= eps
+    return _weighted_graph(f.n, iu[mask], iv[mask], dist[mask], weights, sigma)
 
 
 def full_rbf_graph(f, sigma: float) -> WeightedGraph:
     """Complete graph with RBF weights."""
     f = as_features(f)
-    dist = pairwise_distances(f)
     iu, iv = np.triu_indices(f.n, 1)
-    pairs = list(zip(iu.tolist(), iv.tolist()))
-    return WeightedGraph(f.n, _weighted_edges(pairs, dist, "rbf", sigma))
+    return _weighted_graph(f.n, iu, iv, pairwise_distances(f)[iu, iv], "rbf", sigma)
 
 
 def avg_knn_distance(f, k: int) -> float:
@@ -130,11 +159,8 @@ def avg_knn_distance(f, k: int) -> float:
     f = as_features(f)
     if not 1 <= k < f.n:
         raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={f.n}")
-    dist = pairwise_distances(f)
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    kth = np.sort(d, axis=1)[:, k - 1]
-    return float(kth.mean())
+    _, dists = f.neighbors(k)
+    return float(dists[:, k - 1].mean())
 
 
 def construction_k0(n: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import (FeatureMatrix, as_features, avg_knn_distance,
-                           baseline_graph)
+                           baseline_graph, construction_k0, selection_k0)
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
                      NumericError, ParameterError, UndefinedRatioError)
 from .graph import Partition, WeightedGraph, cut_value
@@ -220,6 +220,12 @@ def _run_grid(points, build_graph, cfg, labels, n, baseline, baseline_edges):
 
 
 def _similarity_candidates(f: FeatureMatrix, cfg, labels):
+    # one neighbor table serves every search below (modulated_k <= 2k); it
+    # is sized from the unclipped grid so that a too small input still fails
+    # in baseline_graph
+    widest = max(2 * max(cfg.k_grid or DEFAULT_K_GRID),
+                 construction_k0(f.n), selection_k0(f.n))
+    f.neighbors(min(widest, f.n - 1))
     ranks = rank(eta_similarity(f, baseline_graph(f, "construction")))
     selection = baseline_graph(f, "selection")
     baseline_edges = selection.m

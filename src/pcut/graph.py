@@ -48,42 +48,51 @@ class WeightedGraph:
     """Immutable undirected graph with strictly positive edge weights.
 
     Self-loops are rejected and each unordered pair may appear at most once;
-    an absent edge is weight zero.
+    an absent edge is weight zero. `edges` is an iterable of (u, v) or
+    (u, v, w) tuples, a missing weight meaning 1.0; `from_arrays` takes the
+    same edges as arrays. Both go through one validation, which raises
+    InputError naming the first offending edge.
     """
 
     def __init__(self, n: int, edges):
+        rows = list(edges)
+        bad = next((e for e in rows if len(e) not in (2, 3)), None)
+        if bad is not None:
+            raise InputError(f"edge {tuple(bad)} is not (u, v) or (u, v, w)")
+        self._set_edges(n, [e[0] for e in rows], [e[1] for e in rows],
+                        [1.0 if len(e) == 2 else e[2] for e in rows])
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w=None) -> "WeightedGraph":
+        """Graph with edges (u[i], v[i]) of weight w[i] (1.0 when w is None)."""
+        g = cls.__new__(cls)
+        g._set_edges(n, u, v, np.ones(len(u)) if w is None else w)
+        return g
+
+    def _set_edges(self, n, u, v, w):
         if n < 1:
             raise InputError(f"node count must be >= 1, got {n}")
         self.n = int(n)
-        us, vs, ws = [], [], []
-        seen = set()
-        for item in edges:
-            if len(item) == 2:
-                u, v = item
-                w = 1.0
-            else:
-                u, v, w = item
-            u, v = int(u), int(v)
-            if u == v:
-                raise InputError(f"self-loop on node {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) outside node range [0,{n})")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
-                raise InputError(f"edge ({u},{v}) has non-positive weight {w}")
-            seen.add((u, v))
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-        order = np.lexsort((np.asarray(vs, dtype=np.int64),
-                            np.asarray(us, dtype=np.int64)))
-        self._u = np.asarray(us, dtype=np.int64)[order]
-        self._v = np.asarray(vs, dtype=np.int64)[order]
-        self._w = np.asarray(ws, dtype=np.float64)[order]
+        u = np.asarray(u).astype(np.int64, copy=False).reshape(-1)
+        v = np.asarray(v).astype(np.int64, copy=False).reshape(-1)
+        w = np.array(w, dtype=np.float64).reshape(-1)
+        if not u.size == v.size == w.size:
+            raise InputError(f"edge arrays differ in length: {u.size}, {v.size}, {w.size}")
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        repeat = np.zeros(lo.size, dtype=bool)
+        order = None
+        if ((lo[1:] < lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] <= hi[:-1]))).any():
+            order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first
+            slo, shi = lo[order], hi[order]
+            repeat[order[1:]] = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
+        bad = ((u == v) | (lo < 0) | (hi >= self.n) | repeat
+               | ~(np.isfinite(w) & (w > 0.0)))
+        if bad.any():
+            i = int(bad.argmax())
+            raise InputError(_edge_error(self.n, u[i], v[i], repeat[i], w[i]))
+        if order is not None:
+            lo, hi, w = lo[order], hi[order], w[order]
+        self._u, self._v, self._w = lo, hi, w
         self._degrees = None
         self._adjacency = None
         self._weight_matrix = None
@@ -134,15 +143,27 @@ class WeightedGraph:
 
     def subgraph(self, keep) -> "WeightedGraph":
         """Induced subgraph on `keep` (old ids remapped to 0..len(keep)-1)."""
-        keep = np.asarray(sorted(int(k) for k in keep), dtype=np.int64)
+        keep = np.sort(np.asarray(keep).astype(np.int64).reshape(-1))
         pos = -np.ones(self.n, dtype=np.int64)
         pos[keep] = np.arange(keep.size)
         mask = (pos[self._u] >= 0) & (pos[self._v] >= 0)
-        edges = zip(pos[self._u[mask]], pos[self._v[mask]], self._w[mask])
-        return WeightedGraph(keep.size, edges)
+        return WeightedGraph.from_arrays(keep.size, pos[self._u[mask]],
+                                         pos[self._v[mask]], self._w[mask])
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _edge_error(n, u, v, repeat, w) -> str:
+    """Message for an invalid edge, by the first check it fails."""
+    if u == v:
+        return f"self-loop on node {u} is not allowed"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) outside node range [0,{n})"
+    u, v = min(u, v), max(u, v)
+    if repeat:
+        return f"duplicate edge ({u},{v})"
+    return f"edge ({u},{v}) has non-positive weight {float(w)}"
 
 
 def cut_value(g: WeightedGraph, p: Partition) -> float:

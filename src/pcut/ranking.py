@@ -3,6 +3,9 @@
 The rank of a node is the fraction of nodes whose density surrogate is at
 least as large as its own (self included), so the densest node has rank 1
 and ranks live in {1/n, ..., 1} when surrogates are distinct.
+
+Network surrogates come from common-neighbor counts, held as one count per
+edge in edge order (`common_neighbor_counts`), never as an n x n matrix.
 """
 
 from __future__ import annotations
@@ -83,9 +86,32 @@ def weighted_nn_surrogate(f, l: int, dim: int) -> np.ndarray:
 
 
 def common_neighbor_counts(g: WeightedGraph) -> np.ndarray:
-    """s(v, w) = number of common neighbors, for all pairs (weights ignored)."""
-    a = g.adjacency().astype(np.float64)  # BLAS path; counts stay exact
-    return np.rint(a @ a).astype(np.int64)
+    """Common-neighbor count of every edge, in edge order (weights ignored).
+
+    Entry i is the number of nodes adjacent to both ends of the i-th edge of
+    g.edge_arrays(), i.e. the (u, v) entry of A @ A for the adjacency A,
+    without forming any n x n array: each edge scans the shorter of its two
+    neighbor lists and looks every entry up among the edges at the other
+    end, in O(sum of squared degrees) time.
+    """
+    u, v, _ = g.edge_arrays()
+    if u.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    ends = np.concatenate([u, v])
+    nbrs = np.concatenate([v, u])[np.argsort(ends, kind="stable")]
+    deg = np.bincount(ends, minlength=g.n)
+    first = np.cumsum(deg) - deg  # start of each node's list in nbrs
+    short = deg[u] <= deg[v]
+    a, b = np.where(short, u, v), np.where(short, v, u)
+    da = deg[a]
+    edge = np.repeat(np.arange(u.size), da)
+    x = nbrs[np.repeat(first[a] - (np.cumsum(da) - da), da) + np.arange(edge.size)]
+    y = b[edge]
+    # edges are sorted by (u, v), so their keys u * n + v are too
+    keys = u * g.n + v
+    probe = np.minimum(x, y) * g.n + np.maximum(x, y)
+    found = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+    return np.bincount(edge[found], minlength=u.size)
 
 
 def eta_connectivity(g: WeightedGraph,
@@ -93,15 +119,20 @@ def eta_connectivity(g: WeightedGraph,
     """Negated mean common-neighbor count over each node's neighbors.
 
     Isolated nodes get 0: every other node's value is nonpositive, so they
-    sort as the lowest-density nodes. Pass `counts` when the caller already
-    holds common_neighbor_counts(g).
+    sort as the lowest-density nodes. Pass `counts` (one per edge) when the
+    caller already holds common_neighbor_counts(g).
     """
-    adj = g.adjacency()
+    u, v, _ = g.edge_arrays()
     s = common_neighbor_counts(g) if counts is None else counts
-    deg = adj.sum(axis=1)
+    ends = np.concatenate([u, v])
+    deg = np.bincount(ends, minlength=g.n)
+    # float sums of integer counts are exact; the int64 division matches
+    # the mean over a dense row bit for bit
+    total = np.bincount(ends, weights=np.concatenate([s, s]),
+                        minlength=g.n).astype(np.int64)
     eta = np.zeros(g.n)
     nz = deg > 0
-    eta[nz] = -(adj * s)[nz].sum(axis=1) / deg[nz]
+    eta[nz] = -total[nz] / deg[nz]
     return eta
 
 

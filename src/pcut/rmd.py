@@ -1,40 +1,48 @@
 """Rank-modulated-degree graph families.
 
 Similarity networks rebuild a k-NN graph with a per-node neighbor count
-scaled by the node's density rank. Connectivity networks only remove edges:
-each node marks its weakest ties (fewest common neighbors) down to a
-rank-scaled degree target, and an edge is dropped when either endpoint
-marks it.
+scaled by the node's density rank, selected from the feature matrix's
+neighbor table. Connectivity networks only remove edges: each node marks
+its weakest ties (fewest common neighbors) down to a rank-scaled degree
+target, and an edge is dropped when either endpoint marks it. The
+common-neighbor counts are one entry per edge, in edge order
+(`ranking.common_neighbor_counts`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .construction import (as_features, pairwise_distances,
-                           _edges_from_selection, _weighted_edges)
+from .construction import as_features, _edges_from_selection, _weighted_graph
 from .errors import ParameterError
 from .graph import WeightedGraph
 from .ranking import common_neighbor_counts
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+def _round_half_up(x):
+    return np.floor(x + 0.5).astype(np.int64)
 
 
-def modulated_k(k: int, lam: float, r: float, n_nodes: int) -> int:
+def _scalar_or_array(out: np.ndarray):
+    return int(out) if out.ndim == 0 else out
+
+
+def modulated_k(k: int, lam: float, r, n_nodes: int):
     """Per-node neighbor count k * (lam + 2 (1-lam) r), rounded and clamped.
 
-    lam = 1 means no modulation; rank 0.5 reproduces k for any lam.
+    lam = 1 means no modulation; rank 0.5 reproduces k for any lam. `r` is
+    one rank (the result is an int) or an array of ranks (an int array).
     """
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
-    if not 0.0 < r <= 1.0:
-        raise ParameterError(f"rank must lie in (0, 1], got {r}")
+    r = np.asarray(r, dtype=float)
+    bad = ~((r > 0.0) & (r <= 1.0))
+    if bad.any():
+        raise ParameterError(f"rank must lie in (0, 1], got {r[bad].flat[0]}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     raw = k * (lam + 2.0 * (1.0 - lam) * r)
-    return max(1, min(_round_half_up(raw), n_nodes - 1))
+    return _scalar_or_array(np.maximum(1, np.minimum(_round_half_up(raw), n_nodes - 1)))
 
 
 def rmd_similarity_graph(f, ranks, lam: float, k: int,
@@ -48,18 +56,22 @@ def rmd_similarity_graph(f, ranks, lam: float, k: int,
     ranks = np.asarray(ranks, dtype=float)
     if ranks.size != f.n:
         raise ParameterError(f"got {ranks.size} ranks for {f.n} samples")
-    dist = pairwise_distances(f)
-    k_per_node = np.array([modulated_k(k, lam, float(r), f.n) for r in ranks])
-    pairs = _edges_from_selection(dist, k_per_node)
-    return WeightedGraph(f.n, _weighted_edges(pairs, dist, weights, sigma))
+    k_per_node = modulated_k(k, lam, ranks.reshape(-1), f.n)
+    ids, dists = f.neighbors(int(k_per_node.max()))
+    u, v, dist = _edges_from_selection(ids, dists, k_per_node)
+    return _weighted_graph(f.n, u, v, dist, weights, sigma)
 
 
-def degree_target(d: int, lam: float, r: float) -> int:
-    """Connectivity-side retained degree d * (lam + (1-lam) r), clamped to [1, d]."""
-    if d <= 0:
-        return 0
-    raw = d * (lam + (1.0 - lam) * r)
-    return max(1, min(_round_half_up(raw), d))
+def degree_target(d, lam: float, r):
+    """Connectivity-side retained degree d * (lam + (1-lam) r), clamped to [1, d].
+
+    Degree 0 keeps 0. Takes one degree and rank (an int comes back) or
+    arrays of them (an int array).
+    """
+    d = np.asarray(d)
+    raw = d * (lam + (1.0 - lam) * np.asarray(r, dtype=float))
+    kept = np.maximum(1, np.minimum(_round_half_up(raw), d))
+    return _scalar_or_array(np.where(d <= 0, 0, kept))
 
 
 def rmd_connectivity_graph(g: WeightedGraph, ranks, lam: float,
@@ -71,27 +83,26 @@ def rmd_connectivity_graph(g: WeightedGraph, ranks, lam: float,
     lower neighbor id). An edge is removed when at least one endpoint marks
     it, so realized degrees may undershoot the per-node targets. Counts are
     taken on the original graph, never on the partially sparsified one;
-    pass them in when sweeping many lambdas over the same graph.
+    pass them in, one per edge as common_neighbor_counts(g) returns them,
+    when sweeping many lambdas over the same graph.
     """
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
     ranks = np.asarray(ranks, dtype=float)
     if ranks.size != g.n:
         raise ParameterError(f"got {ranks.size} ranks for {g.n} nodes")
-    adj = g.adjacency()
-    s = common_neighbor_counts(g) if counts is None else counts
-    deg = adj.sum(axis=1)
-    marked = set()
-    for v in range(g.n):
-        dv = int(deg[v])
-        if dv == 0:
-            continue
-        drop = dv - degree_target(dv, lam, float(ranks[v]))
-        if drop <= 0:
-            continue
-        nbrs = np.flatnonzero(adj[v])
-        order = sorted(zip(s[v, nbrs].tolist(), nbrs.tolist()))
-        for _, w in order[:drop]:
-            marked.add((v, w) if v < w else (w, v))
-    edges = [(u, v, w) for u, v, w in g.edges() if (u, v) not in marked]
-    return WeightedGraph(g.n, edges)
+    u, v, w = g.edge_arrays()
+    s = common_neighbor_counts(g) if counts is None else np.asarray(counts)
+    if s.shape != u.shape:
+        raise ParameterError(f"got counts of shape {s.shape} for {g.m} edges")
+    # every edge once from each endpoint, grouped by node, then by count
+    # and neighbor id; node v marks the first `drop[v]` of its group
+    node = np.concatenate([u, v])
+    order = np.lexsort((np.concatenate([v, u]), np.concatenate([s, s]), node))
+    deg = np.bincount(node, minlength=g.n)
+    drop = deg - degree_target(deg, lam, ranks.reshape(-1))
+    slot = np.arange(order.size) - (np.cumsum(deg) - deg)[node[order]]
+    half = np.zeros(2 * g.m, dtype=bool)
+    half[order[slot < drop[node[order]]]] = True
+    marked = half[:g.m] | half[g.m:]
+    return WeightedGraph.from_arrays(g.n, u[~marked], v[~marked], w[~marked])

@@ -19,11 +19,10 @@ Which eigensolver runs for the normalized variants (``normalized_bundle``):
   D^{-1/2} W D^{-1/2}; the L_sym eigenvalues are one minus those. The start
   vector is a fixed Philox draw, so results do not depend on ARPACK's own
   random state.
-- K >= 3 runs dense: k-means keeps the earliest of equally good restarts,
-  and for K >= 3 the within-cluster sum of one partition under two label
-  orders can differ in the last bit, so eigenvectors that agree to
-  rounding can relabel a candidate. For K = 2 the sum does not depend on
-  label order.
+- K >= 3 runs dense until its Lanczos partitions have been checked
+  against dense ones. k-means scores a partition the same under any
+  labelling (`_wcss`), so rounding in that score cannot relabel a
+  candidate.
 - A disconnected subgraph has a repeated zero eigenvalue that Lanczos can
   miss, so it takes the dense path, as does every subgraph at or below the
   cutoff, where dense ``eigh`` is as fast or faster.
@@ -40,6 +39,7 @@ last bit, and a tie between prefix cuts can go either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,13 +188,19 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _wcss(points, labels, K):
-    total = 0.0
+    """Within-cluster sum of squares, independent of the label order.
+
+    The per-cluster terms are added with math.fsum (one rounding), so one
+    partition under two labellings gets the same value and kmeans keeps the
+    earlier restart. For K = 2 this equals the plain running sum.
+    """
+    terms = []
     for k in range(K):
         mask = labels == k
         if mask.any():
             center = points[mask].mean(axis=0)
-            total += float(((points[mask] - center) ** 2).sum())
-    return total
+            terms.append(float(((points[mask] - center) ** 2).sum()))
+    return math.fsum(terms)
 
 
 def kmeans(points: np.ndarray, K: int, restarts: int = 10,

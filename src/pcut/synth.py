@@ -100,10 +100,10 @@ def sbm_generate(spec: SbmSpec):
     iu, iv = np.triu_indices(n, 1)
     keep = rng.random(iu.size) < prob[iu, iv]
     perm = stream(spec.seed, "sbm-relabel").permutation(n)
-    edges = zip(perm[iu[keep]], perm[iv[keep]], np.ones(int(keep.sum())))
     truth = np.empty(n, dtype=np.int64)
     truth[perm] = block
-    return WeightedGraph(n, edges), Partition(assignment=truth, K=2)
+    graph = WeightedGraph.from_arrays(n, perm[iu[keep]], perm[iv[keep]])
+    return graph, Partition(assignment=truth, K=2)
 
 
 def sbm_bounds(alpha: float, p1: float, p2: float):

@@ -150,6 +150,34 @@ class TestConstruction:
         with pytest.raises(InputError):
             WeightedGraph(3, [(0, 1, 0.0)])
 
+    def test_self_loop_message_names_first_offender(self):
+        with pytest.raises(InputError, match=r"^self-loop on node 2 is not allowed$"):
+            WeightedGraph(3, [(0, 1), (2, 2), (1, 1)])
+
+    def test_range_message_names_first_offender(self):
+        with pytest.raises(InputError, match=r"^edge \(4,1\) outside node range \[0,3\)$"):
+            WeightedGraph(3, [(0, 1), (4, 1), (0, -1)])
+
+    def test_duplicate_message_names_first_repeat(self):
+        with pytest.raises(InputError, match=r"^duplicate edge \(1,2\)$"):
+            WeightedGraph(3, [(2, 1), (0, 1), (1, 2), (1, 0)])
+
+    @pytest.mark.parametrize("w, shown", [(0.0, "0.0"), (-2.5, "-2.5"),
+                                          (np.nan, "nan"), (np.inf, "inf")])
+    def test_weight_message_names_first_offender(self, w, shown):
+        with pytest.raises(InputError,
+                           match=rf"^edge \(0,2\) has non-positive weight {shown}$"):
+            WeightedGraph(3, [(0, 1, 1.0), (2, 0, w), (1, 2, -1.0)])
+
+    def test_malformed_tuple_rejected(self):
+        with pytest.raises(InputError, match=r"^edge \(0, 1, 1\.0, 2\) is not"):
+            WeightedGraph(3, [(1, 2), (0, 1, 1.0, 2)])
+
+    def test_earliest_edge_wins_across_checks(self):
+        # the weight error comes first in input order, the self-loop later
+        with pytest.raises(InputError, match=r"non-positive weight -1\.0$"):
+            WeightedGraph(3, [(0, 1, -1.0), (2, 2)])
+
     def test_edges_sorted_and_symmetric_storage(self):
         g = WeightedGraph(4, [(3, 2, 0.5), (1, 0, 2.0)])
         assert list(g.edges()) == [(0, 1, 2.0), (2, 3, 0.5)]

@@ -77,6 +77,22 @@ class TestEtaConnectivity:
         assert np.array_equal(rank(eta), rank(eta_connectivity(g)))
 
 
+class TestCommonNeighborCounts:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_per_edge_counts_equal_dense_product(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        p = rng.uniform(0.0, 0.5)
+        edges = [(u, v, rng.uniform(0.1, 2.0)) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < p]
+        g = WeightedGraph(n, edges)
+        a = g.adjacency().astype(np.int64)
+        u, v, _ = g.edge_arrays()
+        counts = common_neighbor_counts(g)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, (a @ a)[u, v])
+
+
 class TestRank:
     def test_two_values(self):
         assert rank([1.0, 5.0]).tolist() == [1.0, 0.5]

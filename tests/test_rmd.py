@@ -79,7 +79,9 @@ class TestConnectivityRmd:
     def test_bridge_edge_removed(self):
         g = two_cliques_bridge()
         s = common_neighbor_counts(g)
-        assert s[3, 4] == 0  # bridge endpoints share nobody
+        u, v, _ = g.edge_arrays()
+        bridge = np.flatnonzero((u == 3) & (v == 4))
+        assert s[bridge] == 0  # bridge endpoints share nobody
         ranks = np.full(g.n, 0.25)  # every node drops edges at lambda=0.5
         out = rmd_connectivity_graph(g, ranks, 0.5)
         assert not out.adjacency()[3, 4]

@@ -5,7 +5,7 @@ import pytest
 
 from pcut.errors import InputError, ParameterError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
-from pcut.spectral import (SpectralConfig, kmeans, laplacian,
+from pcut.spectral import (SpectralConfig, _wcss, kmeans, laplacian,
                            smallest_eigenvectors, spectral_clustering,
                            sweep_min_cut)
 
@@ -132,6 +132,17 @@ class TestKmeans:
         a = kmeans(pts, 3, seed=7).assignment
         b = kmeans(pts, 3, seed=7).assignment
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wcss_ignores_label_order(self, seed):
+        # kmeans keeps a later restart only when its WCSS is strictly lower,
+        # so one K = 3 partition under another labelling must score the same
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(30, 2)) * rng.uniform(0.1, 10.0, size=(30, 1))
+        labels = rng.integers(0, 3, size=30)
+        values = {_wcss(pts, np.asarray(perm)[labels], 3)
+                  for perm in itertools.permutations(range(3))}
+        assert len(values) == 1
 
 
 class TestSpectralClustering:
