@@ -24,8 +24,9 @@ from .propagation import LabelSet, grf_propagate
 from .ranking import (common_neighbor_counts, eta_connectivity,
                       eta_similarity, rank)
 from .rmd import rmd_connectivity_graph, rmd_similarity_graph
-from .spectral import (VARIANTS, SpectralConfig, _embedding_rows, kmeans,
-                       normalized_bundle, spectral_clustering, sweep_from_bundle)
+from .spectral import (VARIANTS, SpectralConfig, _embedding_rows,
+                       check_kmeans_counts, kmeans, normalized_bundle,
+                       spectral_clustering, sweep_from_bundle)
 
 DEFAULT_SIMILARITY_LAMBDAS = tuple(round(0.2 * i, 1) for i in range(6))
 DEFAULT_CONNECTIVITY_LAMBDAS = tuple(round(0.5 + 0.025 * i, 3) for i in range(21))
@@ -77,6 +78,7 @@ class PCutConfig:
         for v in self.extra_variants:
             if v not in VARIANTS:
                 raise ParameterError(f"variant must be one of {VARIANTS}")
+        check_kmeans_counts(self.kmeans_restarts, self.kmeans_max_iters)
 
     def lambdas(self) -> tuple:
         if self.lambda_grid:

@@ -77,6 +77,13 @@ class TestGenerateCandidates:
                [(c.lam, c.baseline_cut, c.min_cluster_size,
                  c.partition.assignment.tolist()) for c in b]
 
+    @pytest.mark.parametrize("field,match", [
+        ("kmeans_restarts", "restarts must be >= 1, got 0"),
+        ("kmeans_max_iters", "iterations must be >= 1, got 0")])
+    def test_kmeans_counts_must_be_positive(self, field, match):
+        with pytest.raises(ParameterError, match=match):
+            PCutConfig(K=2, **{field: 0})
+
     def test_ssl_requires_labels(self):
         f, _ = gaussian_mixture(
             30, [(0.5, [0.0], [0.2]), (0.5, [4.0], [0.2])], seed=31)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from pcut.errors import InputError, ParameterError
+from pcut.errors import InputError, NumericError, ParameterError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
 from pcut.spectral import (SpectralConfig, _wcss, kmeans, laplacian,
                            smallest_eigenvectors, spectral_clustering,
@@ -133,6 +133,28 @@ class TestKmeans:
         b = kmeans(pts, 3, seed=7).assignment
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"restarts": 0}, "restarts must be >= 1, got 0"),
+        ({"restarts": -3}, "restarts must be >= 1, got -3"),
+        ({"max_iters": 0}, "iterations must be >= 1, got 0")])
+    def test_counts_below_one_rejected(self, kwargs, match):
+        pts = np.random.default_rng(15).normal(size=(10, 2))
+        with pytest.raises(ParameterError, match=match):
+            kmeans(pts, 2, **kwargs)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(16).normal(size=(10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(InputError, match="must be finite"):
+            kmeans(pts, 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_rejected(self):
+        pts = np.array([[-1e200], [0.0], [1e200]])
+        with pytest.raises(NumericError, match="overflow"):
+            kmeans(pts, 2)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_wcss_ignores_label_order(self, seed):
         # kmeans keeps a later restart only when its WCSS is strictly lower,
@@ -190,6 +212,13 @@ class TestSpectralClustering:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ParameterError):
             SpectralConfig(K=1)
+
+    @pytest.mark.parametrize("field,match", [
+        ("kmeans_restarts", "restarts must be >= 1, got 0"),
+        ("kmeans_max_iters", "iterations must be >= 1, got 0")])
+    def test_kmeans_counts_must_be_positive(self, field, match):
+        with pytest.raises(ParameterError, match=match):
+            SpectralConfig(K=2, **{field: 0})
 
 
 class TestSweepMinCut:
