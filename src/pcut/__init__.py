@@ -17,8 +17,7 @@ from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
                      NumericError, ParameterError, PCutError,
                      UndefinedRatioError)
 from .evaluation import ErrorReport, clustering_error, hungarian_match
-from .graph import (Partition, WeightedGraph, connected_components, cut_value,
-                    degrees)
+from .graph import Partition, WeightedGraph, connected_components, cut_value
 from .propagation import LabelSet, grf_propagate, grf_scores
 from .ranking import (GaussianDensity, GaussianMixtureDensity,
                       eta_connectivity, eta_similarity, level_set_mass, rank)
@@ -36,7 +35,7 @@ __all__ = [
     "PCutError", "Partition", "SbmSpec", "SpectralConfig",
     "UndefinedRatioError", "WeightedGraph", "avg_knn_distance",
     "baseline_graph", "clustering_error", "connected_components",
-    "crescent_dataset", "cut_ratio_diagnostics", "cut_value", "degrees",
+    "crescent_dataset", "cut_ratio_diagnostics", "cut_value",
     "epsilon_graph", "eta_connectivity", "eta_similarity", "full_rbf_graph",
     "gaussian_mixture", "generate_candidates", "grf_propagate", "grf_scores",
     "hungarian_match", "kmeans", "knn_graph", "laplacian", "level_set_mass",

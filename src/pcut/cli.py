@@ -95,6 +95,11 @@ def _build_config(args, n: int, task: str, modality: str, K: int,
     return PCutConfig(**kwargs)
 
 
+def _grid_echo(cfg: PCutConfig, n: int) -> dict:
+    """The resolved k and sigma grids of a similarity run, for the manifest."""
+    return {"k_grid": list(cfg.ks(n)), "sigma_exponents": list(cfg.sigma_exps())}
+
+
 def _load_cluster_input(args):
     if bool(args.features) == bool(args.graph):
         raise InputError("provide exactly one of --features or --graph")
@@ -116,6 +121,8 @@ def cmd_cluster(args) -> int:
                    "variant": cfg.variant, "extra_variants": list(cfg.extra_variants),
                    "sweep_cuts": cfg.sweep_cuts, "lambda_grid": list(cfg.lambdas()),
                    "workers": cfg.workers}
+    if modality == "similarity":
+        config_echo.update(_grid_echo(cfg, n))
     manifest = _manifest("cluster", config_echo, inputs, seed)
     report = {
         "manifest": manifest,
@@ -148,7 +155,8 @@ def cmd_ssl(args) -> int:
     selected = pcut_select(candidates)
     out = Path(args.out)
     config_echo = {"K": K, "delta": cfg.delta, "variant": cfg.variant,
-                   "lambda_grid": list(cfg.lambdas()), "workers": cfg.workers}
+                   "lambda_grid": list(cfg.lambdas()), "workers": cfg.workers,
+                   **_grid_echo(cfg, features.shape[0])}
     manifest = _manifest("ssl", config_echo,
                          {"features": args.features, "labels": args.labels}, seed)
     labeled_nodes = set(raw_labels)

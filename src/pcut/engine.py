@@ -144,8 +144,12 @@ def generate_candidates(data, cfg: PCutConfig,
     grid. Cut values are taken on the model-selection baseline graph for the
     similarity modality and on the original input graph for connectivity.
     """
-    if cfg.task == "ssl" and labels is None:
-        raise ParameterError("ssl task needs a label set")
+    if cfg.task == "ssl":
+        if labels is None:
+            raise ParameterError("ssl task needs a label set")
+        if labels.K != cfg.K:
+            raise ParameterError(
+                f"label set has K={labels.K} classes but the config has K={cfg.K}")
     if cfg.modality == "similarity":
         return _similarity_candidates(as_features(data), cfg, labels)
     if not isinstance(data, WeightedGraph):

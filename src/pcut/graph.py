@@ -184,11 +184,6 @@ def cut_value(g: WeightedGraph, p: Partition) -> float:
     return 2.0 * crossing
 
 
-def degrees(g: WeightedGraph) -> np.ndarray:
-    """Weighted degrees as a vector (module-level form of g.degrees())."""
-    return g.degrees()
-
-
 def connected_components(g: WeightedGraph) -> Partition:
     """Label the maximal connected subgraphs, numbered by first occurrence."""
     u, v, w = g.edge_arrays()

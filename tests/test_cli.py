@@ -112,6 +112,20 @@ class TestSslCommand:
         lines = (out / "predictions.csv").read_text().strip().splitlines()
         assert lines == ["node_id,class"]  # nothing left to predict
 
+    def test_run_id_depends_on_grids(self, tmp_path):
+        fpath, lpath, _ = self.make_inputs(tmp_path, n_labels=2)
+        manifests = []
+        for j in ("0", "1"):
+            out = tmp_path / f"out-{j}"
+            assert main(["ssl", "--features", str(fpath), "--labels", str(lpath),
+                         "--out", str(out), "--delta", "0.1", "--lambda-grid", "1.0",
+                         "--k-grid", "5,50", "--sigma-exponents", j]) == 0
+            manifests.append(json.loads((out / "report.json").read_text())["manifest"])
+        # the k grid is echoed as clipped to n - 1 = 39
+        assert [m["config"]["k_grid"] for m in manifests] == [[5], [5]]
+        assert [m["config"]["sigma_exponents"] for m in manifests] == [[0], [1]]
+        assert manifests[0]["run_id"] != manifests[1]["run_id"]
+
     def test_missing_class_exits_1(self, tmp_path):
         fpath, lpath, _ = self.make_inputs(tmp_path, n_labels=2)
         lpath.write_text("node_id,class\n0,1\n1,1\n")

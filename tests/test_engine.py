@@ -91,6 +91,14 @@ class TestGenerateCandidates:
         with pytest.raises(ParameterError):
             generate_candidates(f, cfg)
 
+    def test_ssl_label_count_must_match_config(self):
+        f, _ = gaussian_mixture(
+            30, [(0.5, [0.0], [0.2]), (0.5, [4.0], [0.2])], seed=31)
+        ls = LabelSet(labeled=((0, 0), (1, 1), (2, 2)), K=3)
+        cfg = PCutConfig(K=2, task="ssl", modality="similarity", seed=0)
+        with pytest.raises(ParameterError, match=r"K=3 classes but the config has K=2"):
+            generate_candidates(f, cfg, labels=ls)
+
     def test_ssl_grf_candidates(self):
         f, labels = gaussian_mixture(
             40, [(0.5, [0.0, 0.0], [0.2, 0.2]), (0.5, [5.0, 0.0], [0.2, 0.2])],

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from pcut.errors import InputError
-from pcut.graph import (Partition, WeightedGraph, connected_components,
-                        cut_value, degrees)
+from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
 
 
 def path3():
@@ -78,14 +77,14 @@ class TestCutValue:
 
 class TestDegrees:
     def test_edgeless(self):
-        assert degrees(WeightedGraph(3, [])).tolist() == [0.0, 0.0, 0.0]
+        assert WeightedGraph(3, []).degrees().tolist() == [0.0, 0.0, 0.0]
 
     def test_triangle(self):
-        assert degrees(triangle()).tolist() == [2.0, 2.0, 2.0]
+        assert triangle().degrees().tolist() == [2.0, 2.0, 2.0]
 
     def test_star(self):
         g = WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
-        assert degrees(g).tolist() == [3.0, 1.0, 1.0, 1.0]
+        assert g.degrees().tolist() == [3.0, 1.0, 1.0, 1.0]
 
 
 class TestComponents:
