@@ -19,28 +19,24 @@ from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
 from .evaluation import ErrorReport, clustering_error, hungarian_match
 from .graph import Partition, WeightedGraph, connected_components, cut_value
 from .propagation import LabelSet, grf_propagate, grf_scores
-from .ranking import (GaussianDensity, GaussianMixtureDensity,
-                      eta_connectivity, eta_similarity, level_set_mass, rank)
+from .ranking import eta_connectivity, eta_similarity, rank
 from .rmd import modulated_k, rmd_connectivity_graph, rmd_similarity_graph
 from .spectral import (SpectralConfig, kmeans, laplacian,
-                       smallest_eigenvectors, spectral_clustering,
-                       sweep_min_cut)
+                       smallest_eigenvectors, spectral_clustering)
 from .synth import (SbmSpec, crescent_dataset, gaussian_mixture, sbm_bounds,
                     sbm_generate)
 
 __all__ = [
     "CandidateCut", "ConstraintError", "ErrorReport", "FeatureMatrix",
-    "GaussianDensity", "GaussianMixtureDensity", "InputError", "LabelSet",
-    "NoFeasiblePartitionError", "NumericError", "ParameterError", "PCutConfig",
-    "PCutError", "Partition", "SbmSpec", "SpectralConfig",
-    "UndefinedRatioError", "WeightedGraph", "avg_knn_distance",
-    "baseline_graph", "clustering_error", "connected_components",
-    "crescent_dataset", "cut_ratio_diagnostics", "cut_value",
-    "epsilon_graph", "eta_connectivity", "eta_similarity", "full_rbf_graph",
-    "gaussian_mixture", "generate_candidates", "grf_propagate", "grf_scores",
-    "hungarian_match", "kmeans", "knn_graph", "laplacian", "level_set_mass",
-    "modulated_k", "pairwise_distances", "pcut_select", "rank",
+    "InputError", "LabelSet", "NoFeasiblePartitionError", "NumericError",
+    "ParameterError", "PCutConfig", "PCutError", "Partition", "SbmSpec",
+    "SpectralConfig", "UndefinedRatioError", "WeightedGraph",
+    "avg_knn_distance", "baseline_graph", "clustering_error",
+    "connected_components", "crescent_dataset", "cut_ratio_diagnostics",
+    "cut_value", "epsilon_graph", "eta_connectivity", "eta_similarity",
+    "full_rbf_graph", "gaussian_mixture", "generate_candidates",
+    "grf_propagate", "grf_scores", "hungarian_match", "kmeans", "knn_graph",
+    "laplacian", "modulated_k", "pairwise_distances", "pcut_select", "rank",
     "rmd_connectivity_graph", "rmd_similarity_graph", "sbm_bounds",
     "sbm_generate", "smallest_eigenvectors", "spectral_clustering",
-    "sweep_min_cut",
 ]

@@ -119,8 +119,7 @@ def cmd_cluster(args) -> int:
     out = Path(args.out)
     config_echo = {"K": cfg.K, "delta": cfg.delta, "modality": modality,
                    "variant": cfg.variant, "extra_variants": list(cfg.extra_variants),
-                   "sweep_cuts": cfg.sweep_cuts, "lambda_grid": list(cfg.lambdas()),
-                   "workers": cfg.workers}
+                   "sweep_cuts": cfg.sweep_cuts, "lambda_grid": list(cfg.lambdas())}
     if modality == "similarity":
         config_echo.update(_grid_echo(cfg, n))
     manifest = _manifest("cluster", config_echo, inputs, seed)
@@ -131,7 +130,7 @@ def cmd_cluster(args) -> int:
         "partition": selected.partition.assignment.tolist(),
         "cluster_sizes": selected.partition.sizes().tolist(),
         "notes": {},
-        "timings": {"wall_seconds": time.time() - t0},
+        "timings": {"wall_seconds": time.time() - t0, "workers": cfg.workers},
     }
     _write_report(out / "report.json", report)
     write_labels_csv(out / "partition.csv", selected.partition.assignment)
@@ -155,7 +154,7 @@ def cmd_ssl(args) -> int:
     selected = pcut_select(candidates)
     out = Path(args.out)
     config_echo = {"K": K, "delta": cfg.delta, "variant": cfg.variant,
-                   "lambda_grid": list(cfg.lambdas()), "workers": cfg.workers,
+                   "lambda_grid": list(cfg.lambdas()),
                    **_grid_echo(cfg, features.shape[0])}
     manifest = _manifest("ssl", config_echo,
                          {"features": args.features, "labels": args.labels}, seed)
@@ -170,7 +169,7 @@ def cmd_ssl(args) -> int:
         "partition": selected.partition.assignment.tolist(),
         "cluster_sizes": selected.partition.sizes().tolist(),
         "notes": {"cut_includes_labeled_nodes": True},
-        "timings": {"wall_seconds": time.time() - t0},
+        "timings": {"wall_seconds": time.time() - t0, "workers": cfg.workers},
     }
     _write_report(out / "report.json", report)
     write_labels_csv(out / "predictions.csv", predictions)

@@ -9,6 +9,7 @@ delta n" and are discarded, which keeps degenerate boundary clusters out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,9 +25,8 @@ from .propagation import LabelSet, grf_propagate
 from .ranking import (common_neighbor_counts, eta_connectivity,
                       eta_similarity, rank)
 from .rmd import rmd_connectivity_graph, rmd_similarity_graph
-from .spectral import (VARIANTS, SpectralConfig, _embedding_rows,
-                       check_kmeans_counts, kmeans, normalized_bundle,
-                       spectral_clustering, sweep_from_bundle)
+from .spectral import (VARIANTS, _embedding_rows, check_kmeans_counts, kmeans,
+                       spectral_bundle, sweep_from_bundle)
 
 DEFAULT_SIMILARITY_LAMBDAS = tuple(round(0.2 * i, 1) for i in range(6))
 DEFAULT_CONNECTIVITY_LAMBDAS = tuple(round(0.5 + 0.025 * i, 3) for i in range(21))
@@ -160,7 +160,8 @@ def generate_candidates(data, cfg: PCutConfig,
 def _partitions_for_graph(graph, cfg, labels, cand_seed, min_side):
     """One partition per enabled generator on a single candidate graph.
 
-    The normalized flavors and the sweep share one eigendecomposition.
+    Every flavour embeds with its Laplacian's bundle, computed at most once;
+    the normalized flavours and the sweep share one.
     """
     out = []
     if cfg.task == "ssl":
@@ -176,23 +177,15 @@ def _partitions_for_graph(graph, cfg, labels, cand_seed, min_side):
     for extra in cfg.extra_variants:
         if extra != cfg.variant:
             flavors.append(("sc_alt", extra))
-    needs_bundle = (cfg.sweep_cuts and cfg.K == 2) or any(
-        v in ("ncut_normalized", "ncut_rw") for _, v in flavors)
-    bundle = normalized_bundle(graph, cfg.K) if needs_bundle else None
+    bundle = functools.cache(
+        lambda normalized: spectral_bundle(graph, cfg.K, normalized))
     for gen, variant in flavors:
-        if variant in ("ncut_normalized", "ncut_rw"):
-            points = _embedding_rows(bundle, cfg.K, variant, graph.n)
-            part = kmeans(points, cfg.K, restarts=cfg.kmeans_restarts,
-                          max_iters=cfg.kmeans_max_iters, seed=cand_seed)
-        else:
-            sc = SpectralConfig(K=cfg.K, variant=variant,
-                                kmeans_restarts=cfg.kmeans_restarts,
-                                kmeans_max_iters=cfg.kmeans_max_iters,
-                                seed=cand_seed)
-            part = spectral_clustering(graph, sc)
-        out.append((gen, part))
+        points = _embedding_rows(bundle(variant != "rcut_unnormalized"),
+                                 cfg.K, variant, graph.n)
+        out.append((gen, kmeans(points, cfg.K, restarts=cfg.kmeans_restarts,
+                                max_iters=cfg.kmeans_max_iters, seed=cand_seed)))
     if cfg.sweep_cuts and cfg.K == 2:
-        swept = sweep_from_bundle(bundle, graph.n, min_side)
+        swept = sweep_from_bundle(bundle(True), graph.n, min_side)
         if swept is not None:
             out.append(("sweep", swept))
     return out

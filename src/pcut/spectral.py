@@ -7,34 +7,39 @@ Three embedding variants are supported:
 - "ncut_rw":           random-walk scaling D^{-1/2} of the L_sym eigenvectors
                        (the classic normalized-cut discretization).
 
-The eigendecomposition runs on the positive-degree subgraph, remapped from
-the graph's edge arrays; isolated nodes get an all-zero embedding row and
-join whichever cluster k-means assigns.
+Every variant embeds with the eigenvectors of one bundle
+(``spectral_bundle``): "rcut_unnormalized" with those of L = D - W, the two
+normalized variants and the sweep cut with those of L_sym. The
+eigendecomposition runs on the positive-degree subgraph, remapped from the
+graph's edge arrays; isolated nodes get an all-zero embedding row and join
+whichever cluster k-means assigns.
 
-Which eigensolver runs for the normalized variants (``normalized_bundle``):
+Which eigensolver runs:
 
-- For K = 2, above SPARSE_MIN_NODES positive-degree nodes, and only when
-  that subgraph is connected, Lanczos (ARPACK ``eigsh``, which="LA") finds
-  the largest eigenpairs of the sparse normalized adjacency
-  D^{-1/2} W D^{-1/2}; the L_sym eigenvalues are one minus those. The start
-  vector is a fixed Philox draw, so results do not depend on ARPACK's own
-  random state.
-- K >= 3 runs dense until its Lanczos partitions have been checked
-  against dense ones. k-means scores a partition the same under any
-  labelling (`_wcss`), so rounding in that score cannot relabel a
-  candidate.
-- A disconnected subgraph has a repeated zero eigenvalue that Lanczos can
-  miss, so it takes the dense path, as does every subgraph at or below the
-  cutoff, where dense ``eigh`` is as fast or faster.
+- Lanczos (ARPACK ``eigsh``, which="LA") runs for L_sym when K = 2, the
+  positive-degree subgraph has more than SPARSE_MIN_NODES nodes, and it is
+  connected. It finds the largest eigenpairs of the sparse normalized
+  adjacency D^{-1/2} W D^{-1/2}; the L_sym eigenvalues are one minus those.
+  The start vector is a fixed Philox draw, so results do not depend on
+  ARPACK's own random state.
 - When Lanczos does not converge within _LANCZOS_MAXITER restarts, or an
   eigenpair fails the residual check against L_sym, the dense path runs
   instead. Nearly disconnected graphs (RBF weights that underflow at small
   bandwidths) have nearly repeated eigenvalues and end here.
+- Every other case runs dense: a disconnected subgraph, whose repeated
+  zero eigenvalue Lanczos can miss; a subgraph at or below the cutoff,
+  where dense ``eigh`` is as fast or faster; L = D - W, always; and
+  K >= 3. A Krylov space holds one vector per distinct eigenvalue, so on a
+  connected graph whose smallest eigenvalues coincide to rounding Lanczos
+  can return a later eigenpair in place of the repeated one, and the
+  residual check passes. On the K = 3 and 4 crescent grids (n = 600) that
+  changed candidates and one selection. K = 2 is exposed to the same miss.
 
-The dense path forms the n x n L_sym and calls ``smallest_eigenvectors``.
-"rcut_unnormalized" always runs dense. Sweep cuts add edge weights in edge
-order, so on weighted graphs a cut can differ from a dense row sum in the
-last bit, and a tie between prefix cuts can go either way.
+The dense path forms the n x n Laplacian and calls ``smallest_eigenvectors``.
+k-means scores a partition the same under any labelling (`_wcss`), so
+rounding in that score cannot relabel a candidate. Sweep cuts add edge
+weights in edge order, so on weighted graphs a cut can differ from a dense
+row sum in the last bit, and a tie between prefix cuts can go either way.
 
 ``kmeans`` rounds an embedding: k-means++ seeding, then Lloyd iterations,
 best of several restarts. The restarts advance together as array
@@ -59,7 +64,7 @@ from .graph import Partition, WeightedGraph
 
 VARIANTS = ("rcut_unnormalized", "ncut_normalized", "ncut_rw")
 
-# Positive-degree node count above which normalized_bundle tries Lanczos.
+# Positive-degree node count above which spectral_bundle tries Lanczos.
 # Timed on a 2-core Xeon with one BLAS thread, with the restart cap below:
 # on block-model graphs Lanczos wins from 250 nodes; on crescent k-NN RBF
 # grids (k = 30, seven bandwidths) dense wins below 300 nodes, where the
@@ -432,21 +437,23 @@ def _dense_weights(n: int, u, v, w) -> np.ndarray:
     return m
 
 
-def normalized_bundle(g: WeightedGraph, K: int):
-    """Shared eigendecomposition of the normalized Laplacian.
+def spectral_bundle(g: WeightedGraph, K: int, normalized: bool):
+    """Eigendecomposition shared by every flavour of one Laplacian.
 
-    Returns None for graphs with no edges. The bundle carries enough
-    eigenvectors for both the K-dimensional embeddings and the sweep cut,
-    so candidate generators can reuse a single decomposition. The module
-    docstring says which eigensolver runs.
+    `normalized` picks L_sym, which "ncut_normalized", "ncut_rw" and the
+    sweep cut embed with; otherwise L = D - W of "rcut_unnormalized".
+    Returns None when the graph has no edges. A normalized bundle carries
+    max(K, 4) eigenvectors, enough for the K-dimensional embeddings and the
+    sweep cut; an unnormalized one carries K. The module docstring says
+    which eigensolver runs.
     """
     active, deg, u, v, w = _active_edges(g)
     n = active.size
     if n < 2:
         return None
-    keff = min(max(K, 4), n)
+    keff = min(max(K, 4) if normalized else K, n)
     vecs = None
-    if K == 2 and n > SPARSE_MIN_NODES:
+    if normalized and K == 2 and n > SPARSE_MIN_NODES:
         a = normalized_adjacency(n, u, v, w, deg)
         if _csgraph_components(a, directed=False, return_labels=False) == 1:
             try:
@@ -454,10 +461,16 @@ def normalized_bundle(g: WeightedGraph, K: int):
             except NumericError:
                 pass  # the dense path below decides
     if vecs is None:
-        lap = _laplacian(_dense_weights(n, u, v, w), "ncut_normalized")
+        lap = _laplacian(_dense_weights(n, u, v, w),
+                         "ncut_normalized" if normalized else "rcut_unnormalized")
         vecs, vals = smallest_eigenvectors(lap, keff)
     return {"active": active, "deg": deg, "edges": (u, v, w),
             "vecs": vecs, "vals": vals}
+
+
+def normalized_bundle(g: WeightedGraph, K: int):
+    """spectral_bundle of the normalized Laplacian L_sym."""
+    return spectral_bundle(g, K, True)
 
 
 def _embedding_rows(bundle, K: int, variant: str, n: int) -> np.ndarray:
@@ -479,17 +492,8 @@ def spectral_embedding(g: WeightedGraph, K: int, variant: str) -> np.ndarray:
     """Rows of the K smallest eigenvectors; zero rows for isolated nodes."""
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}")
-    if variant in ("ncut_normalized", "ncut_rw"):
-        return _embedding_rows(normalized_bundle(g, K), K, variant, g.n)
-    active, _, u, v, w = _active_edges(g)
-    out = np.zeros((g.n, K))
-    if active.size == 0:
-        return out
-    keff = min(K, active.size)
-    lap = _laplacian(_dense_weights(active.size, u, v, w), variant)
-    vecs, _ = smallest_eigenvectors(lap, keff)
-    out[active, :keff] = vecs
-    return out
+    bundle = spectral_bundle(g, K, variant != "rcut_unnormalized")
+    return _embedding_rows(bundle, K, variant, g.n)
 
 
 def spectral_clustering(g: WeightedGraph, cfg: SpectralConfig) -> Partition:
@@ -539,7 +543,3 @@ def sweep_from_bundle(bundle, n: int, min_side: float) -> Partition | None:
     labels[active[order[:best_pos + 1]]] = 0
     return Partition(assignment=labels, K=2)
 
-
-def sweep_min_cut(g: WeightedGraph, min_side: float) -> Partition | None:
-    """Convenience wrapper building the decomposition for a single sweep."""
-    return sweep_from_bundle(normalized_bundle(g, 2), g.n, min_side)

@@ -134,6 +134,28 @@ class TestSslCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("kind", ["features", "graph", "ssl"])
+def test_reports_byte_identical_across_workers(tmp_path, kind):
+    if kind == "graph":
+        path, _ = two_cliques_file(tmp_path)
+        args = ["cluster", "--graph", str(path), "--k", "2", "--delta", "0.2"]
+    else:
+        fpath, lpath, _ = TestSslCommand().make_inputs(tmp_path, n_labels=2)
+        args = ["cluster", "--features", str(fpath), "--k", "2"]
+        if kind == "ssl":
+            args = ["ssl", "--features", str(fpath), "--labels", str(lpath)]
+        args += ["--delta", "0.1", "--k-grid", "5,10", "--sigma-exponents=-1,0"]
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers-{workers}"
+        assert main(args + ["--out", str(out), "--seed", "3",
+                            "--workers", workers]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report.pop("timings")["workers"] == int(workers)
+        outs.append(json.dumps(report, sort_keys=True))
+    assert outs[0] == outs[1]
+
+
 class TestSynthAndEval:
     def test_sbm_roundtrip_and_eval(self, tmp_path):
         out = tmp_path / "synth"

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from scipy.stats import gaussian_kde, norm
+from scipy.stats import gaussian_kde
 
 from pcut.construction import baseline_graph
-from pcut.errors import InputError, ParameterError
+from pcut.errors import InputError
 from pcut.graph import WeightedGraph
-from pcut.ranking import (GaussianDensity, GaussianMixtureDensity,
-                          common_neighbor_counts, eta_connectivity,
-                          eta_similarity, level_set_mass, rank)
+from pcut.ranking import (common_neighbor_counts, eta_connectivity,
+                          eta_similarity, rank)
 from pcut.synth import gaussian_mixture
 
 
@@ -119,30 +118,3 @@ class TestRank:
         eta = np.array([3.0, 1.0])
         r = rank(eta)
         assert r[0] < r[1]
-
-
-class TestLevelSetMass:
-    def test_gaussian_mode(self):
-        assert level_set_mass(GaussianDensity(), 0.0) == pytest.approx(1.0, abs=1e-6)
-
-    def test_gaussian_far_tail(self):
-        assert level_set_mass(GaussianDensity(), 11.0) == pytest.approx(0.0, abs=1e-5)
-
-    def test_gaussian_unit_point(self):
-        expected = 2.0 * norm.cdf(-1.0)
-        assert level_set_mass(GaussianDensity(), 1.0) == pytest.approx(expected, abs=1e-6)
-
-    def test_mixture_against_riemann_oracle(self):
-        density = GaussianMixtureDensity(weights=(0.3, 0.7), means=(-2.0, 1.5),
-                                         stds=(0.5, 1.0))
-        xs = np.linspace(-15, 15, 400001)
-        pdf = density.pdf(xs)
-        dx = xs[1] - xs[0]
-        for y in (-2.0, -1.0, 0.2, 1.5, 3.0):
-            t = density.pdf(y)
-            oracle = float(pdf[pdf <= t].sum() * dx)
-            assert level_set_mass(density, y) == pytest.approx(oracle, abs=5e-4)
-
-    def test_unsupported_density(self):
-        with pytest.raises(ParameterError):
-            level_set_mass(object(), 0.0)

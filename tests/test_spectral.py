@@ -6,8 +6,8 @@ import pytest
 from pcut.errors import InputError, NumericError, ParameterError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
 from pcut.spectral import (SpectralConfig, _wcss, kmeans, laplacian,
-                           smallest_eigenvectors, spectral_clustering,
-                           sweep_min_cut)
+                           normalized_bundle, smallest_eigenvectors,
+                           spectral_clustering, sweep_from_bundle)
 
 
 def clique_edges(nodes):
@@ -226,7 +226,7 @@ class TestSweepMinCut:
         a = clique_edges(list(range(6)))
         b = clique_edges(list(range(6, 12)))
         g = WeightedGraph(12, a + b + [(5, 6)])
-        p = sweep_min_cut(g, min_side=2.0)
+        p = sweep_from_bundle(normalized_bundle(g, 2), g.n, min_side=2.0)
         assert p is not None
         assert cut_value(g, p) == 1.0
         assert p.min_size() == 6
@@ -235,4 +235,4 @@ class TestSweepMinCut:
         a = clique_edges(list(range(6)))
         b = clique_edges(list(range(6, 12)))
         g = WeightedGraph(12, a + b + [(5, 6)])
-        assert sweep_min_cut(g, min_side=6.0) is None
+        assert sweep_from_bundle(normalized_bundle(g, 2), g.n, min_side=6.0) is None
