@@ -9,8 +9,7 @@ smallest cut on a fixed baseline graph.
 __version__ = "0.1.0"
 
 from .construction import (FeatureMatrix, avg_knn_distance, baseline_graph,
-                           epsilon_graph, full_rbf_graph, knn_graph,
-                           pairwise_distances)
+                           knn_graph, pairwise_distances)
 from .engine import (CandidateCut, PCutConfig, cut_ratio_diagnostics,
                      generate_candidates, pcut_select)
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
@@ -33,8 +32,8 @@ __all__ = [
     "SpectralConfig", "UndefinedRatioError", "WeightedGraph",
     "avg_knn_distance", "baseline_graph", "clustering_error",
     "connected_components", "crescent_dataset", "cut_ratio_diagnostics",
-    "cut_value", "epsilon_graph", "eta_connectivity", "eta_similarity",
-    "full_rbf_graph", "gaussian_mixture", "generate_candidates",
+    "cut_value", "eta_connectivity", "eta_similarity", "gaussian_mixture",
+    "generate_candidates",
     "grf_propagate", "grf_scores", "hungarian_match", "kmeans", "knn_graph",
     "laplacian", "modulated_k", "pairwise_distances", "pcut_select", "rank",
     "rmd_connectivity_graph", "rmd_similarity_graph", "sbm_bounds",

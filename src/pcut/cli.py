@@ -28,6 +28,7 @@ from .io import (file_digest, read_edge_list, read_features_csv,
                  read_labels_csv, write_edge_list, write_features_csv,
                  write_labels_csv)
 from .propagation import LabelSet
+from .reports import validate_report
 from .synth import SbmSpec, crescent_dataset, gaussian_mixture, sbm_generate
 
 
@@ -41,11 +42,18 @@ def _manifest(command: str, config: dict, inputs: dict, seed: int) -> dict:
     return payload
 
 
-def _write_report(path: Path, report: dict) -> None:
+def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_report(path: Path, report: dict) -> None:
+    """Write a run report; one that fails the shipped schema raises
+    InputError, and no file is written."""
+    validate_report(report)
+    _write_json(path, report)
 
 
 def _resolve_seed(args) -> int:
@@ -253,7 +261,8 @@ def cmd_experiment(args) -> int:
     manifest = _manifest(f"experiment:{args.name}",
                          {"overrides": overrides}, {}, _resolve_seed(args))
     report = {"manifest": manifest, "summary": summary, "timings": timings}
-    _write_report(out / f"{args.name}.json", report)
+    # an experiment summary is not a run report, so the schema does not apply
+    _write_json(out / f"{args.name}.json", report)
     print(json.dumps(summary, sort_keys=True, default=str)[:2000])
     return 0
 

@@ -136,24 +136,6 @@ def knn_graph(f, k: int, weights: str = "unit", sigma: float | None = None) -> W
     return _weighted_graph(f.n, u, v, dist, weights, sigma)
 
 
-def epsilon_graph(f, eps: float, weights: str = "unit", sigma: float | None = None) -> WeightedGraph:
-    """Graph joining every pair at distance <= eps."""
-    f = as_features(f)
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    iu, iv = np.triu_indices(f.n, 1)
-    dist = pairwise_distances(f)[iu, iv]
-    mask = dist <= eps
-    return _weighted_graph(f.n, iu[mask], iv[mask], dist[mask], weights, sigma)
-
-
-def full_rbf_graph(f, sigma: float) -> WeightedGraph:
-    """Complete graph with RBF weights."""
-    f = as_features(f)
-    iu, iv = np.triu_indices(f.n, 1)
-    return _weighted_graph(f.n, iu, iv, pairwise_distances(f)[iu, iv], "rbf", sigma)
-
-
 def avg_knn_distance(f, k: int) -> float:
     """Mean over all nodes of the distance to the k-th nearest neighbor."""
     f = as_features(f)

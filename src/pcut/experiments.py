@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CandidateCut, PCutConfig, generate_candidates, pcut_select
+from .engine import (CandidateCut, PCutConfig, check_workers, generate_candidates,
+                     pcut_select)
 from .errors import NoFeasiblePartitionError, ParameterError
 from .evaluation import clustering_error
 from .graph import Partition, WeightedGraph, largest_component_nodes
@@ -331,6 +332,7 @@ def run_crescents(out_dir=None, n=1000, noise=0.08, seed=11, lam=0.5, k=30):
 
 
 def run_experiment(name: str, out_dir=None, workers: int = 1, **overrides):
+    check_workers(workers)
     if name == "sbm-lambda-sweep":
         return run_sbm_lambda_sweep(out_dir, workers=workers, **overrides)
     if name == "sbm-alpha-sweep":

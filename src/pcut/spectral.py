@@ -42,11 +42,15 @@ weights in edge order, so on weighted graphs a cut can differ from a dense
 row sum in the last bit, and a tie between prefix cuts can go either way.
 
 ``kmeans`` rounds an embedding: k-means++ seeding, then Lloyd iterations,
-best of several restarts. The restarts advance together as array
-operations (``_kmeanspp``, ``_lloyd``); a restart whose labels stop changing
-is frozen, and each distinct partition is scored once. Every step is
-bit-identical to running the restarts one after another: the same Philox
-streams, the same draws, the same summation order in distances and means.
+best of several restarts. It is the one-problem case of ``kmeans_batch``,
+which the engine calls once per chunk of grid points with every
+(grid point, flavour) embedding of that chunk. The restarts of all problems
+form one row axis and advance together as array operations (``_kmeanspp``,
+``_lloyd``), in batches of at most _KMEANS_BATCH_ELEMENTS elements; a row
+whose labels stop changing is frozen, and each problem scores each of its
+distinct partitions once. Every step is bit-identical to running the
+restarts one after another: the same Philox streams, the same draws, the
+same summation order in distances and means.
 """
 
 from __future__ import annotations
@@ -76,10 +80,15 @@ SPARSE_MIN_NODES = 300
 _LANCZOS_MAXITER = 40
 # Philox key of the Lanczos start vector.
 _V0_SEED = 0x5EED
-# Cap on restarts * K * n * dim for one batch of k-means restarts. It bounds
-# the batch temporaries to about 32 MB of float64, or to one restart's worth
-# when a single restart is larger.
-_KMEANS_BATCH_ELEMENTS = 1 << 22
+# Cap on rows * K * n * dim for one batch of k-means rows, a row being one
+# restart of one problem (see kmeans_batch); the engine sizes its grid chunks
+# by it too. 2**17 is the smallest power of two that holds all 42 problems
+# of a dolphins-small input (about 92k elements), and the batch temporaries
+# stay near 1 MB of float64. Timed on a 2-core Xeon with one BLAS thread:
+# sbm-net (n = 1500, about 60k elements per problem) ran 1% slower at 2**18,
+# 5% at 2**20 and 7% at 2**22, where its peak RSS also grew by 18 MB. A
+# single restart above the cap runs alone.
+_KMEANS_BATCH_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -237,35 +246,42 @@ def _wcss(points, labels, K):
 
 
 def _sq_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Squared distances of shape (restarts, K, n) from `centres` (restarts, K, dim).
+    """Squared distances of shape (rows, K, n) from `centres` (rows, K, dim).
 
-    Each is ((point - centre) ** 2).sum() to the bit. Below eight columns
+    `points` is one problem's (n, dim) array, shared by every row, or one
+    (rows, n, dim) array per row. Each distance is
+    ((point - centre) ** 2).sum() to the bit. Below eight columns
     ndarray.sum adds the terms left to right, as the loop over columns does
     without a reduction over a short inner axis; on sbm-net (n = 1500, two
     columns) the loop cuts the wall time by about 30%. From eight columns on
     ndarray.sum adds pairwise, so the loop would change the last bits there.
     """
-    dim = points.shape[1]
+    dim = points.shape[-1]
     if dim >= 8:
-        return ((points[None, None] - centres[:, :, None, :]) ** 2).sum(axis=3)
-    d2 = (points[:, 0] - centres[:, :, 0, None]) ** 2
+        return ((points[..., None, :, :] - centres[..., None, :]) ** 2).sum(axis=-1)
+    d2 = (points[..., None, :, 0] - centres[..., 0, None]) ** 2
     for j in range(1, dim):
-        d2 += (points[:, j] - centres[:, :, j, None]) ** 2
+        d2 += (points[..., None, :, j] - centres[..., j, None]) ** 2
     return d2
 
 
-def _kmeanspp(points: np.ndarray, K: int, seed: int, streams) -> np.ndarray:
-    """k-means++ centres of the restarts `streams`, shape (restarts, K, dim).
+def _kmeanspp(points: np.ndarray, K: int, seeds, streams) -> np.ndarray:
+    """k-means++ centres of each row, shape (rows, K, dim).
 
-    Restart r draws from _rng(seed, r) in the order it would alone: an index
+    Row i is restart streams[i] of a problem with seed seeds[i] (or `seeds`
+    for every row) and points points[i] (or `points` for every row). It draws
+    from _rng(seed, stream) in the order that restart would alone: an index
     for the first centre, then per later centre a uniform that picks a point
     with probability proportional to its squared distance from the nearest
     chosen centre, as Generator.choice(n, p=...) does, or a fresh index when
     every point sits on a chosen centre. The uniforms are drawn ahead; a
-    restart that meets the index case replays its stream.
+    row that meets the index case replays its stream.
     """
-    n, dim = points.shape
     R = len(streams)
+    points = np.broadcast_to(points, (R,) + points.shape[-2:])
+    n, dim = points.shape[1:]
+    if np.ndim(seeds) == 0:
+        seeds = [seeds] * R
     bitgen = np.random.Philox(key=[0, 0])
     gen = np.random.Generator(bitgen)
     first = np.empty(R, dtype=np.int64)
@@ -274,7 +290,7 @@ def _kmeanspp(points: np.ndarray, K: int, seed: int, streams) -> np.ndarray:
     index_case = np.zeros((R, K - 1), dtype=bool)
 
     def draw(i):
-        _reset_philox(bitgen, seed, streams[i])
+        _reset_philox(bitgen, seeds[i], streams[i])
         first[i] = gen.integers(n)
         for c in range(K - 1):
             if index_case[i, c]:
@@ -284,8 +300,9 @@ def _kmeanspp(points: np.ndarray, K: int, seed: int, streams) -> np.ndarray:
 
     for i in range(R):
         draw(i)
+    rows = np.arange(R)
     centres = np.empty((R, K, dim))
-    centres[:, 0] = points[first]
+    centres[:, 0] = points[rows, first]
     d2 = None
     for c in range(K - 1):
         dist = _sq_distances(points, centres[:, c:c + 1])[:, 0]
@@ -303,49 +320,52 @@ def _kmeanspp(points: np.ndarray, K: int, seed: int, streams) -> np.ndarray:
         # the cdf rows are nondecreasing, so this count is
         # cdf.searchsorted(u, side="right"), the draw of Generator.choice
         pick[ok] = (cdf <= uniform[ok, c, None]).sum(axis=1)
-        centres[:, c + 1] = points[pick]
+        centres[:, c + 1] = points[rows, pick]
     return centres
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, d2: np.ndarray,
                    K: int) -> np.ndarray:
-    """Centres of a Lloyd step for each restart, shape (restarts, K, dim).
+    """Centres of a Lloyd step for each row, shape (rows, K, dim).
 
+    `points` is shared by every row or given per row, as in _sq_distances.
     A centre is points[labels[r] == k].mean(axis=0) to the bit; an empty
     cluster takes the point farthest from its nearest centre under `d2`,
-    the step's (restarts, K, n) squared distances.
+    the step's (rows, K, n) squared distances.
     """
     A, n = labels.shape
-    dim = points.shape[1]
+    dim = points.shape[-1]
+    points = np.broadcast_to(points, (A, n, dim))
     bins = (np.arange(A)[:, None] * K + labels).ravel()
     counts = np.bincount(bins, minlength=A * K).reshape(A, K)
     if dim == 1:
         # a one-column mean sums pairwise, which bincount does not reproduce
         means = np.zeros((A, K, 1))
         for a, k in zip(*np.nonzero(counts)):
-            means[a, k] = points[labels[a] == k].mean(axis=0)
+            means[a, k] = points[a][labels[a] == k].mean(axis=0)
     else:
         # with two or more columns the mean sums row after row, in point
         # order, as bincount does
         sums = np.bincount((bins[:, None] * dim + np.arange(dim)).ravel(),
-                           weights=points.reshape(1, -1).repeat(A, axis=0).ravel(),
+                           weights=points.ravel(),
                            minlength=A * K * dim).reshape(A, K, dim)
         means = sums / np.maximum(counts, 1)[:, :, None]
     empty = counts == 0
     if empty.any():
-        far = points[d2.min(axis=1).argmax(axis=1)]
+        far = points[np.arange(A), d2.min(axis=1).argmax(axis=1)]
         means = np.where(empty[:, :, None], far[:, None, :], means)
     return means
 
 
 def _lloyd(points: np.ndarray, centres: np.ndarray, max_iters: int) -> np.ndarray:
-    """Lloyd iterations of every restart at once; labels of shape (restarts, n).
+    """Lloyd iterations of every row at once; labels of shape (rows, n).
 
-    A restart is frozen at the first iteration whose labels equal its
-    previous ones, where it alone would stop.
+    `points` holds each row's problem, shape (rows, n, dim). A row is
+    frozen at the first iteration whose labels equal its previous ones,
+    where that restart alone would stop.
     """
     K = centres.shape[1]
-    labels = np.empty((centres.shape[0], points.shape[0]), dtype=np.int64)
+    labels = np.empty(points.shape[:2], dtype=np.int64)
     live = np.arange(centres.shape[0])
     for it in range(max_iters):
         d2 = _sq_distances(points, centres[live])
@@ -354,6 +374,7 @@ def _lloyd(points: np.ndarray, centres: np.ndarray, max_iters: int) -> np.ndarra
             moved = (new != labels[live]).any(axis=1)
             if not moved.all():
                 live, new, d2 = live[moved], new[moved], d2[moved]
+                points = points[moved]
                 if not live.size:
                     break
         labels[live] = new
@@ -377,6 +398,59 @@ def check_kmeans_counts(restarts: int, max_iters: int) -> None:
         raise ParameterError(f"k-means iterations must be >= 1, got {max_iters}")
 
 
+def kmeans_batch_problems(n: int, K: int, dim: int, restarts: int) -> int:
+    """How many k-means problems of n points in dim columns fill one batch.
+
+    At least one: a problem larger than the cap runs its restarts in
+    several batches.
+    """
+    return max(1, _KMEANS_BATCH_ELEMENTS // (restarts * K * n * dim))
+
+
+def kmeans_batch(points: np.ndarray, K: int, seeds, restarts: int = 10,
+                 max_iters: int = 100) -> list[Partition]:
+    """kmeans of several problems of one shape at once, one Partition each.
+
+    `points` has shape (problems, n, dim) and `seeds` one seed per problem;
+    problem p gives exactly kmeans(points[p], K, restarts, max_iters,
+    seeds[p]). The restarts of every problem form one row axis, and rows
+    advance together in batches of at most _KMEANS_BATCH_ELEMENTS elements
+    of rows * K * n * dim, or of one row when a single row is larger. A
+    batch may hold several problems, and a problem may span batches: each
+    row seeds, iterates and freezes on its own, so the split changes no
+    bit. The first-occurrence dedup and the scoring stay per problem, and a
+    problem whose restarts all end in one partition needs no score.
+    """
+    points = np.asarray(points, dtype=float)
+    P, n, dim = points.shape
+    if n < K:
+        raise ParameterError(f"need at least K={K} points, got {n}")
+    check_kmeans_counts(restarts, max_iters)
+    if not np.isfinite(points).all():
+        raise InputError("k-means points must be finite")
+    problem = np.repeat(np.arange(P), restarts)
+    row_seeds = [seed for seed in seeds for _ in range(restarts)]
+    row_streams = list(range(restarts)) * P
+    step = max(1, _KMEANS_BATCH_ELEMENTS // (n * K * dim))
+    labels = []
+    for lo in range(0, P * restarts, step):
+        rows = points[problem[lo:lo + step]]
+        centres = _kmeanspp(rows, K, row_seeds[lo:lo + step], row_streams[lo:lo + step])
+        labels.append(_lloyd(rows, centres, max_iters))
+    labels = np.concatenate(labels).reshape(P, restarts, n)
+    keys = _first_occurrence_labels(labels.reshape(-1, n), K).reshape(P, restarts, n)
+    out = []
+    for p in range(P):
+        first = {}  # the first restart of each distinct partition; ties keep it
+        for r in range(restarts):
+            first.setdefault(keys[p, r].tobytes(), r)
+        starts = list(first.values())
+        best = starts[0] if len(starts) == 1 else min(
+            starts, key=lambda r: _wcss(points[p], labels[p, r], K))
+        out.append(Partition(assignment=labels[p, best].copy(), K=K))
+    return out
+
+
 def kmeans(points: np.ndarray, K: int, restarts: int = 10,
            max_iters: int = 100, seed: int = 0) -> Partition:
     """Best-of-restarts Lloyd iterations with careful (k-means++) seeding.
@@ -388,36 +462,16 @@ def kmeans(points: np.ndarray, K: int, restarts: int = 10,
     the smallest within-cluster sum of squares wins; ties keep the earlier
     restart. Deterministic given the seed.
 
-    All restarts advance together as array operations, and a converged
-    restart is frozen; the result is bit-identical to running the restarts
-    one after another. Restarts that end in the same partition, under any
-    labelling, score the same, so only the first of them is scored.
+    This is the one-problem case of kmeans_batch. All restarts advance
+    together as array operations, and a converged restart is frozen; the
+    result is bit-identical to running the restarts one after another.
+    Restarts that end in the same partition, under any labelling, score the
+    same, so only the first of them is scored.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    n, dim = points.shape
-    if n < K:
-        raise ParameterError(f"need at least K={K} points, got {n}")
-    check_kmeans_counts(restarts, max_iters)
-    if not np.isfinite(points).all():
-        raise InputError("k-means points must be finite")
-    step = max(1, _KMEANS_BATCH_ELEMENTS // (n * K * dim))
-    labels = np.concatenate([
-        _lloyd(points, _kmeanspp(points, K, seed, range(lo, min(lo + step, restarts))),
-               max_iters)
-        for lo in range(0, restarts, step)])
-    seen = set()
-    best, best_w = None, np.inf
-    for r, key in enumerate(_first_occurrence_labels(labels, K)):
-        key = key.tobytes()
-        if key in seen:
-            continue  # an earlier restart found this partition, and ties keep it
-        seen.add(key)
-        w = _wcss(points, labels[r], K)
-        if w < best_w:
-            best, best_w = r, w
-    return Partition(assignment=labels[best].copy(), K=K)
+    return kmeans_batch(points[None], K, [seed], restarts, max_iters)[0]
 
 
 def _active_edges(g: WeightedGraph):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pcut import cli
 from pcut.cli import main
 from pcut.io import read_labels_csv, write_edge_list, write_features_csv, write_labels_csv
 from pcut.graph import WeightedGraph
@@ -58,6 +59,31 @@ class TestClusterCommand:
             report.pop("timings")
             outs.append(json.dumps(report, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_zero_workers_exits_1(self, tmp_path, capsys):
+        path, _ = two_cliques_file(tmp_path)
+        code = main(["cluster", "--graph", str(path), "--k", "2", "--workers", "0",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_report_failing_schema_is_not_written(self, tmp_path, monkeypatch,
+                                                  capsys):
+        path, _ = two_cliques_file(tmp_path)
+        real = cli._candidate_record
+
+        def without_index(c):
+            record = real(c)
+            del record["index"]
+            return record
+
+        monkeypatch.setattr(cli, "_candidate_record", without_index)
+        out = tmp_path / "out"
+        code = main(["cluster", "--graph", str(path), "--k", "2",
+                     "--delta", "0.2", "--out", str(out), "--seed", "1"])
+        assert code == 1
+        assert "missing required key 'index'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_seed_used_and_overridden(self, tmp_path, monkeypatch):
         path, _ = two_cliques_file(tmp_path)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pcut.construction import (FeatureMatrix, avg_knn_distance, baseline_graph,
-                               construction_k0, epsilon_graph, full_rbf_graph,
-                               knn_graph, pairwise_distances, rbf_weight,
-                               selection_k0)
+                               construction_k0, knn_graph, pairwise_distances,
+                               rbf_weight, selection_k0)
 from pcut.errors import InputError, ParameterError
+
+from graph_builders import epsilon_graph, full_rbf_graph
 
 
 def line_points(*xs):

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from pcut import engine, spectral
 from pcut.engine import (CandidateCut, PCutConfig, cut_ratio_diagnostics,
                          generate_candidates, mix_seed, pcut_select)
 from pcut.errors import (NoFeasiblePartitionError, NumericError,
                          ParameterError, UndefinedRatioError)
+from pcut.experiments import load_bundled_network, run_experiment
 from pcut.graph import Partition, WeightedGraph, cut_value
 from pcut.construction import avg_knn_distance
 from pcut.propagation import LabelSet, grf_scores
-from pcut.rmd import rmd_similarity_graph
+from pcut.ranking import common_neighbor_counts, eta_connectivity, rank
+from pcut.rmd import rmd_connectivity_graph, rmd_similarity_graph
 from pcut.synth import gaussian_mixture
+
+from benchmark_instances import candidate_bytes
 
 
 def two_cliques(size=6):
@@ -84,6 +89,13 @@ class TestGenerateCandidates:
         with pytest.raises(ParameterError, match=match):
             PCutConfig(K=2, **{field: 0})
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+            PCutConfig(K=2, workers=workers)
+        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment("karate", workers=workers)
+
     def test_ssl_requires_labels(self):
         f, _ = gaussian_mixture(
             30, [(0.5, [0.0], [0.2]), (0.5, [4.0], [0.2])], seed=31)
@@ -133,6 +145,69 @@ class TestGenerateCandidates:
         cands = generate_candidates(x, cfg, labels=ls)
         assert [c.sigma for c in cands] == [sigma[-4]]
         assert pcut_select(cands) is cands[0]
+
+
+class TestGridChunks:
+    """The spectral stage runs the grid in chunks of consecutive points."""
+
+    CFG = PCutConfig(K=2, modality="connectivity", delta=0.1, sweep_cuts=True,
+                     variant="ncut_rw", extra_variants=("ncut_normalized",))
+
+    @pytest.fixture
+    def dolphins(self):
+        return load_bundled_network("dolphins")[0]
+
+    @pytest.fixture
+    def bundle_calls(self, monkeypatch):
+        calls = []
+        real = engine.spectral_bundle
+
+        def counting(g, K, normalized):
+            calls.append(g.m)
+            return real(g, K, normalized)
+
+        monkeypatch.setattr(engine, "spectral_bundle", counting)
+        return calls
+
+    def grid_edges(self, g):
+        counts = common_neighbor_counts(g)
+        ranks = rank(eta_connectivity(g, counts=counts))
+        return [rmd_connectivity_graph(g, ranks, lam, counts=counts).edge_arrays()
+                for lam in self.CFG.lambdas()]
+
+    def test_one_bundle_per_changed_graph(self, dolphins, bundle_calls, monkeypatch):
+        # a cap this large puts the whole grid in one chunk
+        monkeypatch.setattr(spectral, "_KMEANS_BATCH_ELEMENTS", 1 << 22)
+        edges = self.grid_edges(dolphins)
+        changed = 1 + sum(not all(map(np.array_equal, a, b))
+                          for a, b in zip(edges, edges[1:]))
+        generate_candidates(dolphins, self.CFG)
+        assert len(bundle_calls) == changed < len(edges)
+
+    def test_one_bundle_per_graph_without_reuse(self, dolphins, bundle_calls,
+                                                monkeypatch):
+        # one grid point per chunk: no bundle crosses a chunk boundary
+        monkeypatch.setattr(spectral, "_KMEANS_BATCH_ELEMENTS", 1)
+        generate_candidates(dolphins, self.CFG)
+        assert len(bundle_calls) == len(self.CFG.lambdas())
+
+    @pytest.mark.parametrize("case", ["dolphins", "mixture"])
+    def test_chunks_do_not_change_candidates(self, case, dolphins, monkeypatch):
+        if case == "dolphins":
+            data, cfg = dolphins, self.CFG
+        else:
+            # consecutive sigmas give the same edges with other weights, and
+            # other partitions
+            data, _ = gaussian_mixture(
+                60, [(0.5, [0.0, 0.0], [1.0, 1.0]), (0.5, [2.0, 0.0], [1.0, 1.0])],
+                seed=33)
+            cfg = PCutConfig(K=2, modality="similarity", lambda_grid=(0.5, 1.0),
+                             k_grid=(5,), sigma_exponents=(-3, 0, 3), seed=2,
+                             variant="ncut_rw", extra_variants=("ncut_normalized",))
+        monkeypatch.setattr(spectral, "_KMEANS_BATCH_ELEMENTS", 1 << 22)
+        whole = candidate_bytes(generate_candidates(data, cfg))
+        monkeypatch.setattr(spectral, "_KMEANS_BATCH_ELEMENTS", 1)
+        assert candidate_bytes(generate_candidates(data, cfg)) == whole
 
 
 class TestPcutSelect:

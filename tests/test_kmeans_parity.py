@@ -3,14 +3,16 @@
 reference_kmeans below is the replaced implementation, kept verbatim apart
 from its name and docstring: a new Philox generator per restart,
 Generator.choice for the k-means++ draws, a Lloyd loop with per-cluster
-means, and one _wcss per restart. Every comparison is byte for byte.
+means, and one _wcss per restart. reference_kmeans_batch runs it once per
+problem of a stack. Every comparison is byte for byte.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcut
@@ -19,7 +21,7 @@ from pcut.engine import mix_seed
 from pcut.errors import ParameterError
 from pcut.graph import Partition
 from pcut.spectral import (_cluster_means, _kmeanspp, _rng, _sq_distances,
-                           _wcss, kmeans)
+                           _wcss, kmeans, kmeans_batch)
 
 from benchmark_instances import candidate_bytes, dolphins_small, sbm_net
 
@@ -63,6 +65,11 @@ def reference_kmeans(points: np.ndarray, K: int, restarts: int = 10,
             best_w = w
             best_labels = labels
     return Partition(assignment=best_labels, K=K)
+
+
+def reference_kmeans_batch(points, K, seeds, restarts=10, max_iters=100):
+    return [reference_kmeans(p, K, restarts, max_iters, seed)
+            for p, seed in zip(points, seeds)]
 
 
 def reference_seeding(points, K, rng):
@@ -219,6 +226,47 @@ def test_batches_of_restarts_match_reference(monkeypatch):
                           reference_kmeans(points, 3, restarts=10, seed=11))
 
 
+STACK_KINDS = ("normal", "zero rows", "duplicate rows", "constant",
+               "K distinct rows", "within rounding", "integer grid")
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 5), dim=st.integers(1, 10), extra=st.integers(0, 60),
+       restarts=st.integers(1, 6), max_iters=st.sampled_from((1, 3, 100)),
+       kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=5),
+       data_seed=st.integers(0, 2**32 - 1),
+       seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
+                                st.integers(2**63, 2**64 - 1),
+                                st.builds(mix_seed, st.integers(0, 2**63 - 1),
+                                          st.integers(0, 10**4))),
+                      min_size=5, max_size=5),
+       rows_per_batch=st.integers(1, 31))
+# zero and duplicate rows; the index case, whose rows replay their streams;
+# nine columns, where distances sum pairwise; and restarts split across
+# batches, with seeds at and above 2**63
+@example(K=3, dim=9, extra=20, restarts=5, max_iters=100,
+         kinds=["zero rows", "K distinct rows", "duplicate rows"], data_seed=1,
+         seeds=[2**63, mix_seed(7, 3), 2**64 - 1, 0, 1], rows_per_batch=3)
+@example(K=2, dim=2, extra=53, restarts=10, max_iters=100,
+         kinds=["normal", "within rounding", "K distinct rows", "normal"],
+         data_seed=2, seeds=[mix_seed(0, i) for i in range(5)], rows_per_batch=7)
+def test_stacked_problems_match_reference(K, dim, extra, restarts, max_iters,
+                                          kinds, data_seed, seeds,
+                                          rows_per_batch):
+    n = K + extra
+    points = np.stack([_points(kind, n, dim, K, data_seed + p)
+                       for p, kind in enumerate(kinds)])
+    seeds = seeds[:len(kinds)]
+    with warnings.catch_warnings(), mock.patch.object(
+            spectral, "_KMEANS_BATCH_ELEMENTS", rows_per_batch * n * K * dim):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = kmeans_batch(points, K, seeds, restarts, max_iters)
+        want = reference_kmeans_batch(points, K, seeds, restarts, max_iters)
+    assert len(got) == len(want)
+    for ours, theirs in zip(got, want):
+        assert_same_partition(ours, theirs)
+
+
 def crescent_clusters():
     f, _ = pcut.crescent_dataset(n=400, noise=0.08, seed=0)
     cfg = pcut.PCutConfig(K=3, modality="similarity", delta=0.05,
@@ -234,8 +282,7 @@ def test_generate_candidates_byte_identical(workload, monkeypatch):
     inputs, cfg = workload()
     new = [candidate_bytes(pcut.generate_candidates(data, cfg, labels))
            for data, labels in inputs]
-    monkeypatch.setattr(engine, "kmeans", reference_kmeans)
-    monkeypatch.setattr(spectral, "kmeans", reference_kmeans)
+    monkeypatch.setattr(engine, "kmeans_batch", reference_kmeans_batch)
     old = [candidate_bytes(pcut.generate_candidates(data, cfg, labels))
            for data, labels in inputs]
     assert new == old

@@ -4,7 +4,8 @@ Every variant takes its eigenvectors from spectral_bundle. The references
 below are the code that came before: normalized_bundle (Lanczos for K = 2
 only), spectral_embedding with its own dense solve for
 "rcut_unnormalized", and the engine loop that sent that variant through
-spectral_clustering.
+spectral_clustering, run through the per-grid-point loop of
+reference_engine.
 """
 
 import os
@@ -30,6 +31,7 @@ from pcut.spectral import (SPARSE_MIN_NODES, VARIANTS, SpectralConfig,
                            smallest_eigenvectors, spectral_clustering,
                            spectral_embedding, sweep_from_bundle)
 
+import reference_engine
 from benchmark_instances import candidate_bytes
 
 
@@ -237,7 +239,9 @@ def test_generate_candidates_byte_identical(case, monkeypatch):
     build, *args = CASES[case]
     data, cfg = build(*args)
     new = candidate_bytes(pcut.generate_candidates(data, cfg))
-    monkeypatch.setattr(engine, "_partitions_for_graph", reference_partitions_for_graph)
+    monkeypatch.setattr(reference_engine, "_partitions_for_graph",
+                        reference_partitions_for_graph)
+    monkeypatch.setattr(engine, "_run_grid", reference_engine._run_grid)
     monkeypatch.setattr(spectral, "spectral_embedding", reference_spectral_embedding)
     old = candidate_bytes(pcut.generate_candidates(data, cfg))
     assert new == old
