@@ -207,9 +207,10 @@ def _clustering_chunk(chunk, build_graph, cfg, min_side):
     First each grid point builds its graph and embeds it once per flavour,
     with the bundle of its Laplacian computed at most once; the normalized
     flavours and the sweep share one. A graph whose edge arrays equal those
-    of the grid point before it reuses that point's bundles and embeddings.
-    Then one kmeans_batch call clusters every embedding of the chunk, each
-    with the seed of its grid point.
+    of the grid point before it reuses that point's bundles, embeddings and
+    sweep cut; each candidate still gets its own copy of the sweep's
+    assignment. Then one kmeans_batch call clusters every embedding of the
+    chunk, each with the seed of its grid point.
     """
     flavors = _flavors(cfg)
     embeddings, seeds, swept = [], [], []
@@ -222,12 +223,13 @@ def _clustering_chunk(chunk, build_graph, cfg, min_side):
             rows = [_embedding_rows(bundle(variant != "rcut_unnormalized"),
                                     cfg.K, variant, graph.n)
                     for _, variant in flavors]
+            sweep = None
+            if cfg.sweep_cuts and cfg.K == 2:
+                sweep = sweep_from_bundle(bundle(True), graph.n, min_side)
         embeddings += rows
         seeds += [mix_seed(cfg.seed, grid_index)] * len(flavors)
-        sweep = None
-        if cfg.sweep_cuts and cfg.K == 2:
-            sweep = sweep_from_bundle(bundle(True), graph.n, min_side)
-        swept.append(sweep)
+        swept.append(None if sweep is None else
+                     Partition(assignment=sweep.assignment.copy(), K=2))
     partitions = iter(kmeans_batch(np.stack(embeddings), cfg.K, seeds,
                                    cfg.kmeans_restarts, cfg.kmeans_max_iters))
     out = []

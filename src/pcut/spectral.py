@@ -51,6 +51,19 @@ whose labels stop changing is frozen, and each problem scores each of its
 distinct partitions once. Every step is bit-identical to running the
 restarts one after another: the same Philox streams, the same draws, the
 same summation order in distances and means.
+
+- Seeding draws: ``_seeding_draws`` computes the first Philox4x64-10
+  blocks of every row in one uint64 array pass (Philox is counter-based),
+  and derives the first index and the uniforms from them as numpy's
+  Generator does. A row whose first index Lemire's method rejects, or
+  that meets the index case, replays its stream through the scalar
+  ``_reset_philox`` path instead.
+- Assignment: ``_nearest`` takes each point's nearest centre by a running
+  comparison over the K slices of the distances, ties to the lower index,
+  as argmin does.
+- Centres: ``_cluster_means`` sums each column with its own ``bincount``,
+  which adds a cluster's points in point order, as the per-cluster mean
+  does.
 """
 
 from __future__ import annotations
@@ -213,20 +226,103 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
+def _philox_key(seed: int) -> np.uint64:
+    """First key word of the Philox generator that _rng(seed, stream) builds.
+
+    np.random.Philox(key=[seed, stream]) converts the list with
+    np.asarray(...).astype(np.uint64). A seed of 2**63 or more makes the
+    list float64, which rounds away the seed's low bits, and seeds within
+    about 1024 of 2**64 overflow the cast (numpy warns). A stream is a small
+    nonnegative integer: it converts exactly and does not change the list's
+    dtype, so the word depends on the seed alone.
+    """
+    return np.asarray([seed & (2**64 - 1), 0]).astype(np.uint64)[0]
+
+
 def _reset_philox(bitgen: np.random.Philox, seed: int, stream: int) -> None:
     """Put `bitgen` in the state a new _rng(seed, stream) starts from.
 
-    The key goes through the conversion that np.random.Philox(key=[...])
-    applies, so the streams are the same bit for bit. A reset costs about a
-    quarter of building a new Philox; k-means seeds 37 800 restarts in one
-    dolphins-small pass, where this saves about a tenth of the wall time.
+    This is the scalar path of the k-means++ draws: _kmeanspp replays a
+    row's stream with it where _seeding_draws cannot give the draws, and a
+    reset costs about a quarter of building a new Philox.
     """
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.asarray([seed & (2**64 - 1), stream]).astype(np.uint64)},
+                  "key": np.array([_philox_key(seed), stream], dtype=np.uint64)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
+
+
+# Philox4x64-10 as numpy's Philox computes it (Salmon et al., 2011). A
+# round multiplies counter words 0 and 2, one multiplier each (one row each
+# here), and round r keys with the key plus r Weyl increments.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_KEY_STEPS = np.array(
+    [[[r * w % 2**64] for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)]
+     for r in range(10)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_PHILOX_M_LO = _PHILOX_M & _LOW32
+_PHILOX_M_HI = _PHILOX_M >> _U32
+
+
+def _philox_mulhi(x: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products _PHILOX_M * x, x of shape (2, count).
+
+    Assembled from 32-bit halves as in Warren's mulhu (Hacker's Delight);
+    no partial sum overflows uint64.
+    """
+    x_lo, x_hi = x & _LOW32, x >> _U32
+    t = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> _U32)
+    w = (t & _LOW32) + x_lo * _PHILOX_M_HI
+    return x_hi * _PHILOX_M_HI + (t >> _U32) + (w >> _U32)
+
+
+def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 * blocks words of each row's Philox stream, (rows, 4 * blocks).
+
+    Row i is keyed (key0[i], key1[i]). numpy's Philox increments its
+    counter before it computes a block, so a new generator's first block is
+    counter 1, then 2, and so on.
+    """
+    rows = key0.size
+    # counter words (0, 2) and (1, 3), one column per (row, block)
+    even = np.zeros((2, rows * blocks), dtype=np.uint64)
+    even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rows)
+    odd = np.zeros_like(even)
+    keys = np.stack([np.repeat(key0, blocks), np.repeat(key1, blocks)]) + _PHILOX_KEY_STEPS
+    for key in keys:
+        even, odd = _philox_mulhi(even)[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1).reshape(rows, 4 * blocks)
+
+
+def _seeding_draws(seeds, streams, n: int, K: int):
+    """Each row's first k-means++ draws, computed as arrays.
+
+    Row i takes the stream of _rng(seeds[i], streams[i]) and gets what
+    Generator.integers(n) and then K - 1 calls of Generator.random() draw
+    from it. Returns (first, uniform, fallback) of shapes (rows,),
+    (rows, K - 1) and (rows,). integers(n) takes the low 32 bits w of word
+    0 and returns (w * n) >> 32 (Lemire's method); each uniform is
+    (word >> 11) * 2**-53 of words 1, 2, .... A row is flagged in
+    `fallback`, its draws left unspecified, where Lemire's method rejects w
+    and draws again, and every row is flagged unless 2 <= n < 2**32, where
+    integers(n) takes another path. The key of each distinct seed is
+    converted once.
+    """
+    rows = len(seeds)
+    if not 2 <= n < 2**32:
+        return (np.zeros(rows, dtype=np.int64), np.zeros((rows, K - 1)),
+                np.ones(rows, dtype=bool))
+    keys = {seed: _philox_key(seed) for seed in set(seeds)}
+    key0 = np.array([keys[seed] for seed in seeds], dtype=np.uint64)
+    words = _philox_words(key0, np.asarray(streams, dtype=np.uint64), -(-K // 4))
+    scaled = (words[:, 0] & _LOW32) * np.uint64(n)
+    first = (scaled >> _U32).astype(np.int64)
+    fallback = (scaled & _LOW32) < np.uint64((2**32 - n) % n)
+    uniform = (words[:, 1:K] >> np.uint64(11)) * 2.0**-53
+    return first, uniform, fallback
 
 
 def _wcss(points, labels, K):
@@ -274,18 +370,18 @@ def _kmeanspp(points: np.ndarray, K: int, seeds, streams) -> np.ndarray:
     for the first centre, then per later centre a uniform that picks a point
     with probability proportional to its squared distance from the nearest
     chosen centre, as Generator.choice(n, p=...) does, or a fresh index when
-    every point sits on a chosen centre. The uniforms are drawn ahead; a
-    row that meets the index case replays its stream.
+    every point sits on a chosen centre. The index and the uniforms come
+    from _seeding_draws for every row at once; a row it flags, and a row
+    that meets the index case, replays its stream with the scalar draw.
     """
     R = len(streams)
     points = np.broadcast_to(points, (R,) + points.shape[-2:])
     n, dim = points.shape[1:]
     if np.ndim(seeds) == 0:
         seeds = [seeds] * R
+    first, uniform, fallback = _seeding_draws(seeds, streams, n, K)
     bitgen = np.random.Philox(key=[0, 0])
     gen = np.random.Generator(bitgen)
-    first = np.empty(R, dtype=np.int64)
-    uniform = np.zeros((R, K - 1))
     index = np.zeros((R, K - 1), dtype=np.int64)
     index_case = np.zeros((R, K - 1), dtype=bool)
 
@@ -298,7 +394,7 @@ def _kmeanspp(points: np.ndarray, K: int, seeds, streams) -> np.ndarray:
             else:
                 uniform[i, c] = gen.random()
 
-    for i in range(R):
+    for i in np.flatnonzero(fallback):
         draw(i)
     rows = np.arange(R)
     centres = np.empty((R, K, dim))
@@ -346,15 +442,35 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, d2: np.ndarray,
     else:
         # with two or more columns the mean sums row after row, in point
         # order, as bincount does
-        sums = np.bincount((bins[:, None] * dim + np.arange(dim)).ravel(),
-                           weights=points.ravel(),
-                           minlength=A * K * dim).reshape(A, K, dim)
+        sums = np.stack([np.bincount(bins, weights=points[..., j].ravel(),
+                                     minlength=A * K)
+                         for j in range(dim)], axis=1).reshape(A, K, dim)
         means = sums / np.maximum(counts, 1)[:, :, None]
     empty = counts == 0
     if empty.any():
         far = points[np.arange(A), d2.min(axis=1).argmax(axis=1)]
         means = np.where(empty[:, :, None], far[:, None, :], means)
     return means
+
+
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """d2.argmin(axis=1) of squared distances d2 (rows, K, n), to the index.
+
+    A running comparison over the K slices: a later centre wins only when
+    strictly closer, so ties keep the lower index, infinite distances
+    included. argmin would pick the first NaN, but Lloyd distances are
+    never NaN: the points are finite, and once seeding has checked that
+    every point lies at a finite distance from the first centre, the points
+    of each column either share one sign or are too small for a cluster sum
+    to overflow, so no centre is NaN.
+    """
+    best = d2[:, 0]
+    labels = np.zeros(best.shape, dtype=np.int64)
+    for k in range(1, d2.shape[1]):
+        closer = d2[:, k] < best
+        labels[closer] = k
+        best = np.minimum(best, d2[:, k])
+    return labels
 
 
 def _lloyd(points: np.ndarray, centres: np.ndarray, max_iters: int) -> np.ndarray:
@@ -369,7 +485,7 @@ def _lloyd(points: np.ndarray, centres: np.ndarray, max_iters: int) -> np.ndarra
     live = np.arange(centres.shape[0])
     for it in range(max_iters):
         d2 = _sq_distances(points, centres[live])
-        new = d2.argmin(axis=1)
+        new = _nearest(d2)
         if it:
             moved = (new != labels[live]).any(axis=1)
             if not moved.all():
@@ -411,18 +527,25 @@ def kmeans_batch(points: np.ndarray, K: int, seeds, restarts: int = 10,
                  max_iters: int = 100) -> list[Partition]:
     """kmeans of several problems of one shape at once, one Partition each.
 
-    `points` has shape (problems, n, dim) and `seeds` one seed per problem;
-    problem p gives exactly kmeans(points[p], K, restarts, max_iters,
-    seeds[p]). The restarts of every problem form one row axis, and rows
-    advance together in batches of at most _KMEANS_BATCH_ELEMENTS elements
-    of rows * K * n * dim, or of one row when a single row is larger. A
-    batch may hold several problems, and a problem may span batches: each
-    row seeds, iterates and freezes on its own, so the split changes no
-    bit. The first-occurrence dedup and the scoring stay per problem, and a
+    `points` has shape (problems, n, dim), or InputError is raised, and
+    `seeds` one seed per problem, or ParameterError is raised; problem p
+    gives exactly kmeans(points[p], K, restarts, max_iters, seeds[p]). The
+    restarts of every problem form one row axis, and rows advance together
+    in batches of at most _KMEANS_BATCH_ELEMENTS elements of
+    rows * K * n * dim, or of one row when a single row is larger. A batch
+    may hold several problems, and a problem may span batches: each row
+    seeds, iterates and freezes on its own, so the split changes no bit.
+    The first-occurrence dedup and the scoring stay per problem, and a
     problem whose restarts all end in one partition needs no score.
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 3:
+        raise InputError("k-means problems must be stacked as (problems, n, dim), "
+                         f"got {points.ndim} dimensions")
     P, n, dim = points.shape
+    if len(seeds) != P:
+        raise ParameterError("need one seed per k-means problem: "
+                             f"{P} problems, {len(seeds)} seeds")
     if n < K:
         raise ParameterError(f"need at least K={K} points, got {n}")
     check_kmeans_counts(restarts, max_iters)

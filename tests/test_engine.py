@@ -184,6 +184,27 @@ class TestGridChunks:
         generate_candidates(dolphins, self.CFG)
         assert len(bundle_calls) == changed < len(edges)
 
+    def test_one_sweep_per_changed_graph(self, dolphins, monkeypatch):
+        monkeypatch.setattr(spectral, "_KMEANS_BATCH_ELEMENTS", 1 << 22)
+        calls = []
+        real = engine.sweep_from_bundle
+
+        def counting(bundle, n, min_side):
+            calls.append(n)
+            return real(bundle, n, min_side)
+
+        monkeypatch.setattr(engine, "sweep_from_bundle", counting)
+        edges = self.grid_edges(dolphins)
+        changed = 1 + sum(not all(map(np.array_equal, a, b))
+                          for a, b in zip(edges, edges[1:]))
+        candidates = generate_candidates(dolphins, self.CFG)
+        assert len(calls) == changed < len(edges)
+        # a reused sweep is copied: no two candidates share an assignment
+        sweeps = [c.partition.assignment for c in candidates if c.generator == "sweep"]
+        assert len(sweeps) == len(edges)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(sweeps) for b in sweeps[i + 1:])
+
     def test_one_bundle_per_graph_without_reuse(self, dolphins, bundle_calls,
                                                 monkeypatch):
         # one grid point per chunk: no bundle crosses a chunk boundary

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 import pcut
 from pcut import engine, spectral
 from pcut.engine import mix_seed
-from pcut.errors import ParameterError
+from pcut.errors import InputError, ParameterError
 from pcut.graph import Partition
-from pcut.spectral import (_cluster_means, _kmeanspp, _rng, _sq_distances,
-                           _wcss, kmeans, kmeans_batch)
+from pcut.spectral import (_cluster_means, _kmeanspp, _nearest, _rng,
+                           _seeding_draws, _sq_distances, _wcss, kmeans,
+                           kmeans_batch)
 
 from benchmark_instances import candidate_bytes, dolphins_small, sbm_net
 
@@ -126,6 +127,65 @@ def test_seeding_draws_rng_streams(seed):
         assert got.tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("n", (55, 1500, 2**31 + 11, 2**32 - 1))
+def test_seeding_draws_match_numpy_philox(n):
+    # K up to 9 needs three counter blocks; at n = 2**31 + 11 Lemire's
+    # method rejects about half of all first draws
+    seeds = EDGE_SEEDS + tuple(mix_seed(7, i) for i in range(6))
+    row_seeds = [seed for seed in seeds for _ in range(11)]
+    row_streams = list(range(11)) * len(seeds)
+    rejected = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for K in range(1, 10):
+            first, uniform, fallback = _seeding_draws(row_seeds, row_streams, n, K)
+            assert uniform.shape == (len(row_seeds), K - 1)
+            for i, (seed, stream) in enumerate(zip(row_seeds, row_streams)):
+                key = [seed & (2**64 - 1), stream]
+                w = int(np.random.Philox(key=key).random_raw()) & 0xFFFFFFFF
+                if (w * n) & 0xFFFFFFFF < (2**32 - n) % n:
+                    rejected += 1
+                    assert fallback[i]
+                if not fallback[i]:
+                    gen = np.random.Generator(np.random.Philox(key=key))
+                    assert first[i] == gen.integers(n)
+                    want = np.array([gen.random() for _ in range(K - 1)])
+                    assert uniform[i].tobytes() == want.tobytes()
+    if n == 2**31 + 11:
+        assert rejected
+
+
+@pytest.mark.parametrize("K", (2, 3, 6))
+def test_flagged_rows_take_the_scalar_draw(K, monkeypatch):
+    real = spectral._seeding_draws
+
+    def flag_every_third(seeds, streams, n, K):
+        first, uniform, fallback = real(seeds, streams, n, K)
+        chosen = np.arange(first.size) % 3 == 1
+        # spoil the flagged draws: the scalar path has to redraw them
+        first[chosen] = (first[chosen] + 1) % n
+        uniform[chosen] = (uniform[chosen] + 0.5) % 1.0
+        return first, uniform, fallback | chosen
+
+    monkeypatch.setattr(spectral, "_seeding_draws", flag_every_third)
+    rng = np.random.default_rng(K)
+    for points in (rng.normal(size=(40, 2)), rng.normal(size=(K, 2))[rng.integers(0, K, 40)]):
+        for seed in (0, 2**63, mix_seed(7, 1)):
+            got = _kmeanspp(points, K, seed, range(10))
+            want = [reference_seeding(points, K, _rng(seed, r)) for r in range(10)]
+            assert got.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("points, seeds, error, match", [
+    (np.ones((3, 10, 2)), [1, 2, 3, 4], ParameterError, "3 problems, 4 seeds"),
+    (np.ones((3, 10, 2)), [1, 2], ParameterError, "3 problems, 2 seeds"),
+    (np.ones((10, 2)), [1], InputError, r"stacked as \(problems, n, dim\)"),
+])
+def test_batch_checks_its_inputs(points, seeds, error, match):
+    with pytest.raises(error, match=match):
+        kmeans_batch(points, 2, seeds)
+
+
 def _points(kind, n, dim, K, data_seed):
     rng = np.random.default_rng(data_seed)
     x = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100.0)
@@ -144,6 +204,10 @@ def _points(kind, n, dim, K, data_seed):
         x = rng.normal(size=(n, dim)) * 1e-170
     elif kind == "integer grid":
         x = np.round(x)
+    elif kind == "overflow":
+        # squared differences and cluster sums overflow to inf, so distances
+        # tie at inf
+        x = np.where(x < 0, -1.0, 1.0) * rng.uniform(1e307, 1.7e308, size=(n, dim))
     return x
 
 
@@ -151,7 +215,8 @@ def _points(kind, n, dim, K, data_seed):
 @given(K=st.integers(1, 6), dim=st.integers(1, 12), extra=st.integers(0, 150),
        restarts=st.integers(1, 6),
        kind=st.sampled_from(("normal", "zero rows", "duplicate rows",
-                             "K distinct rows", "within rounding")),
+                             "K distinct rows", "within rounding",
+                             "integer grid", "overflow")),
        data_seed=st.integers(0, 2**32 - 1))
 def test_lloyd_step_matches_reference(K, dim, extra, restarts, kind, data_seed):
     # the distances and centres themselves, bit for bit: a last-bit
@@ -159,15 +224,28 @@ def test_lloyd_step_matches_reference(K, dim, extra, restarts, kind, data_seed):
     points = _points(kind, K + extra, dim, K, data_seed)
     rng = np.random.default_rng(data_seed + 1)
     centres = points[rng.integers(0, points.shape[0], size=(restarts, K))]
-    d2 = _sq_distances(points, centres)
-    labels = d2.argmin(axis=1)
-    means = _cluster_means(points, labels, d2, K)
-    for r in range(restarts):
-        want_d2, want_labels, want_means = reference_lloyd_step(points, centres[r], K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        d2 = _sq_distances(points, centres)
+        labels = _nearest(d2)
+        means = _cluster_means(points, labels, d2, K)
+        want = [reference_lloyd_step(points, centres[r], K) for r in range(restarts)]
+    for r, (want_d2, want_labels, want_means) in enumerate(want):
         assert d2[r].T.tobytes() == want_d2.tobytes()
         assert np.array_equal(labels[r], want_labels)
-        # -0.0 and 0.0 give the same distances; compare values, not bytes
-        assert np.array_equal(means[r], want_means)
+        # -0.0 and 0.0 give the same distances; compare values, not bytes.
+        # Sums that overflow to both signs give NaN centres on both sides.
+        assert np.array_equal(means[r], want_means, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 6), n=st.integers(1, 40), rows=st.integers(1, 4),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_nearest_matches_argmin(K, n, rows, data_seed):
+    # few distinct values, so ties are common, inf among them
+    rng = np.random.default_rng(data_seed)
+    d2 = rng.choice([0.0, 1.0, 2.0, np.inf], size=(rows, K, n))
+    assert _nearest(d2).tobytes() == d2.argmin(axis=1).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
