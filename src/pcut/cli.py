@@ -1,8 +1,8 @@
 """Command-line interface: cluster, ssl, synth, eval, experiment.
 
-Exit codes: 0 success, 1 input error, 2 no feasible partition, 3 numeric
-failure. Reports are JSON with sorted keys; identical inputs and seed give
-byte-identical reports apart from the "timings" block.
+Exit codes: 0 success, 1 input or usage error, 2 no feasible partition,
+3 numeric failure. Reports are JSON with sorted keys; identical inputs and
+seed give byte-identical reports apart from the "timings" block.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .engine import PCutConfig, generate_candidates, pcut_select
 from .errors import (InputError, NoFeasiblePartitionError, NumericError,
-                     ParameterError, PCutError)
+                     PCutError)
 from .evaluation import clustering_error
 from .experiments import EXPERIMENTS, run_experiment
 from .graph import Partition
@@ -87,68 +87,77 @@ def _parse_int_list(text):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _build_config(args, n: int, task: str, modality: str, K: int,
-                  seed: int) -> PCutConfig:
+def _build_config(args, task: str, modality: str, K: int) -> PCutConfig:
     kwargs = dict(K=K, task=task, modality=modality, delta=args.delta,
-                  variant=args.variant, seed=seed, workers=args.workers,
-                  sweep_cuts=args.sweep_cuts)
+                  seed=_resolve_seed(args), workers=args.workers)
+    if task == "clustering":
+        kwargs.update(variant=args.variant, sweep_cuts=args.sweep_cuts)
+        if args.extra_variants:
+            kwargs["extra_variants"] = tuple(args.extra_variants.split(","))
     if args.lambda_grid:
         kwargs["lambda_grid"] = _parse_float_list(args.lambda_grid)
-    if getattr(args, "k_grid", None):
+    if args.k_grid:
         kwargs["k_grid"] = _parse_int_list(args.k_grid)
-    if getattr(args, "sigma_exponents", None):
+    if args.sigma_exponents:
         kwargs["sigma_exponents"] = _parse_int_list(args.sigma_exponents)
-    if args.extra_variants:
-        kwargs["extra_variants"] = tuple(args.extra_variants.split(","))
     return PCutConfig(**kwargs)
 
 
-def _grid_echo(cfg: PCutConfig, n: int) -> dict:
-    """The resolved k and sigma grids of a similarity run, for the manifest."""
-    return {"k_grid": list(cfg.ks(n)), "sigma_exponents": list(cfg.sigma_exps())}
+def _run_and_report(args, t0: float, data, cfg: PCutConfig, inputs: dict,
+                    notes: dict, labels=None):
+    """Select a candidate of `data` and write report.json under --out.
 
-
-def _load_cluster_input(args):
-    if bool(args.features) == bool(args.graph):
-        raise InputError("provide exactly one of --features or --graph")
-    if args.features:
-        return read_features_csv(args.features), "similarity", {"features": args.features}
-    return read_edge_list(args.graph), "connectivity", {"graph": args.graph}
-
-
-def cmd_cluster(args) -> int:
-    seed = _resolve_seed(args)
-    t0 = time.time()
-    data, modality, inputs = _load_cluster_input(args)
-    n = data.n if hasattr(data, "n") else data.shape[0]
-    cfg = _build_config(args, n, "clustering", modality, args.k, seed)
-    candidates = generate_candidates(data, cfg)
+    The manifest echoes only the configuration that shapes the candidates,
+    so two runs share a run_id exactly when they do the same work. Returns
+    the selected candidate.
+    """
+    candidates = generate_candidates(data, cfg, labels=labels)
     selected = pcut_select(candidates)
-    out = Path(args.out)
-    config_echo = {"K": cfg.K, "delta": cfg.delta, "modality": modality,
-                   "variant": cfg.variant, "extra_variants": list(cfg.extra_variants),
-                   "sweep_cuts": cfg.sweep_cuts, "lambda_grid": list(cfg.lambdas())}
-    if modality == "similarity":
-        config_echo.update(_grid_echo(cfg, n))
-    manifest = _manifest("cluster", config_echo, inputs, seed)
+    config_echo = {"K": cfg.K, "delta": cfg.delta,
+                   "lambda_grid": list(cfg.lambdas())}
+    if cfg.task == "clustering":
+        config_echo.update(modality=cfg.modality, variant=cfg.variant,
+                           extra_variants=list(cfg.extra_variants),
+                           sweep_cuts=cfg.sweep_cuts)
+    if cfg.modality == "similarity":
+        config_echo.update(k_grid=list(cfg.ks(len(data))),
+                           sigma_exponents=list(cfg.sigma_exps()))
     report = {
-        "manifest": manifest,
+        "manifest": _manifest(args.command, config_echo, inputs, cfg.seed),
         "candidates": [_candidate_record(c) for c in candidates],
         "selected": _candidate_record(selected),
         "partition": selected.partition.assignment.tolist(),
         "cluster_sizes": selected.partition.sizes().tolist(),
-        "notes": {},
+        "notes": notes,
         "timings": {"wall_seconds": time.time() - t0, "workers": cfg.workers},
     }
-    _write_report(out / "report.json", report)
-    write_labels_csv(out / "partition.csv", selected.partition.assignment)
+    _write_report(Path(args.out) / "report.json", report)
+    return selected
+
+
+def cmd_cluster(args) -> int:
+    t0 = time.time()
+    if bool(args.features) == bool(args.graph):
+        raise InputError("provide exactly one of --features or --graph")
+    if args.sweep_cuts and args.k != 2:
+        # sweep cuts bisect the graph, so a K >= 3 run would echo a flag
+        # that adds no candidate
+        raise InputError(f"--sweep-cuts needs --k 2, got --k {args.k}")
+    if args.features:
+        data, modality = read_features_csv(args.features), "similarity"
+        inputs = {"features": args.features}
+    else:
+        data, modality = read_edge_list(args.graph), "connectivity"
+        inputs = {"graph": args.graph}
+    cfg = _build_config(args, "clustering", modality, args.k)
+    selected = _run_and_report(args, t0, data, cfg, inputs, {})
+    write_labels_csv(Path(args.out) / "partition.csv", selected.partition.assignment)
     print(f"selected {selected.params()} cut={selected.baseline_cut} "
           f"sizes={selected.partition.sizes().tolist()}")
     return 0
 
 
 def cmd_ssl(args) -> int:
-    seed = _resolve_seed(args)
     t0 = time.time()
     features = read_features_csv(args.features)
     raw_labels = read_labels_csv(args.labels)
@@ -157,30 +166,14 @@ def cmd_ssl(args) -> int:
         raise InputError(f"classes must be 0..K-1 without gaps, got {classes}")
     K = len(classes)
     labels = LabelSet(labeled=tuple(sorted(raw_labels.items())), K=K)
-    cfg = _build_config(args, features.shape[0], "ssl", "similarity", K, seed)
-    candidates = generate_candidates(features, cfg, labels=labels)
-    selected = pcut_select(candidates)
-    out = Path(args.out)
-    config_echo = {"K": K, "delta": cfg.delta, "variant": cfg.variant,
-                   "lambda_grid": list(cfg.lambdas()),
-                   **_grid_echo(cfg, features.shape[0])}
-    manifest = _manifest("ssl", config_echo,
-                         {"features": args.features, "labels": args.labels}, seed)
-    labeled_nodes = set(raw_labels)
+    cfg = _build_config(args, "ssl", "similarity", K)
+    selected = _run_and_report(
+        args, t0, features, cfg, {"features": args.features, "labels": args.labels},
+        {"cut_includes_labeled_nodes": True}, labels=labels)
     predictions = {node: int(cls)
                    for node, cls in enumerate(selected.partition.assignment)
-                   if node not in labeled_nodes}
-    report = {
-        "manifest": manifest,
-        "candidates": [_candidate_record(c) for c in candidates],
-        "selected": _candidate_record(selected),
-        "partition": selected.partition.assignment.tolist(),
-        "cluster_sizes": selected.partition.sizes().tolist(),
-        "notes": {"cut_includes_labeled_nodes": True},
-        "timings": {"wall_seconds": time.time() - t0, "workers": cfg.workers},
-    }
-    _write_report(out / "report.json", report)
-    write_labels_csv(out / "predictions.csv", predictions)
+                   if node not in raw_labels}
+    write_labels_csv(Path(args.out) / "predictions.csv", predictions)
     print(f"predicted {len(predictions)} unlabeled nodes; "
           f"selected {selected.params()}")
     return 0
@@ -237,18 +230,13 @@ def cmd_eval(args) -> int:
         "matching": {str(k): v for k, v in report.matching.items()},
         "confusion": report.confusion.tolist(),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        _write_json(Path(args.out), payload)
+    print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 
 def cmd_experiment(args) -> int:
-    if args.name not in EXPERIMENTS:
-        raise InputError(
-            f"unknown experiment {args.name!r}; available: {', '.join(EXPERIMENTS)}")
     overrides = {}
     if args.seeds is not None:
         overrides["n_seeds"] = args.seeds
@@ -258,8 +246,8 @@ def cmd_experiment(args) -> int:
     summary = run_experiment(args.name, out_dir=out, workers=args.workers,
                              **overrides)
     timings = {"wall_seconds": summary.pop("wall_seconds", None)}
-    manifest = _manifest(f"experiment:{args.name}",
-                         {"overrides": overrides}, {}, _resolve_seed(args))
+    # each preset fixes its own seeds, which the summary records
+    manifest = _manifest(f"experiment:{args.name}", {"overrides": overrides}, {}, 0)
     report = {"manifest": manifest, "summary": summary, "timings": timings}
     # an experiment summary is not a run report, so the schema does not apply
     _write_json(out / f"{args.name}.json", report)
@@ -267,54 +255,75 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _add_common(parser, k_grid=False):
-    parser.add_argument("--delta", type=float, default=0.05,
-                        help="minimum cluster fraction (default 0.05)")
-    parser.add_argument("--lambda-grid", dest="lambda_grid", default=None,
-                        help="comma-separated modulation grid")
-    parser.add_argument("--variant", default="ncut_rw",
-                        help="spectral flavor (rcut_unnormalized, "
-                             "ncut_normalized, ncut_rw)")
-    parser.add_argument("--extra-variants", dest="extra_variants", default=None,
-                        help="additional spectral flavors, comma-separated")
-    parser.add_argument("--sweep-cuts", dest="sweep_cuts", action="store_true",
-                        help="also propose minimum-cut sweep partitions (K=2)")
-    if k_grid:
-        parser.add_argument("--k-grid", dest="k_grid", default=None,
-                            help="comma-separated neighbor counts")
-        parser.add_argument("--sigma-exponents", dest="sigma_exponents",
-                            default=None,
-                            help="comma-separated powers j for sigma = 2^j d_k")
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code pcut documents for "no
+    feasible partition"; here a usage error is an InputError (exit 1).
+
+    Options must be spelled out: with abbreviations, a flag a subcommand
+    does not take can be read as a longer one it does (``--seed`` as
+    ``experiment --seeds``).
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+# every option, declared once; each subcommand attaches those it reads
+_OPTIONS = {
+    "--seed": dict(type=int, default=None,
+                   help="run seed (overrides PCUT_SEED)"),
+    "--workers": dict(type=int, default=1,
+                      help="parallel candidate evaluation"),
+    "--delta": dict(type=float, default=0.05,
+                    help="minimum cluster fraction (default 0.05)"),
+    "--lambda-grid": dict(default=None, help="comma-separated modulation grid"),
+    "--k-grid": dict(default=None, help="comma-separated neighbor counts"),
+    "--sigma-exponents": dict(default=None,
+                              help="comma-separated powers j for sigma = 2^j d_k"),
+    "--variant": dict(default="ncut_rw",
+                      help="spectral flavor (rcut_unnormalized, "
+                           "ncut_normalized, ncut_rw)"),
+    "--extra-variants": dict(default=None,
+                             help="additional spectral flavors, comma-separated"),
+    "--sweep-cuts": dict(action="store_true",
+                         help="also propose minimum-cut sweep partitions (K=2)"),
+}
+_RUN_OPTIONS = ("--seed", "--workers", "--delta", "--lambda-grid", "--k-grid",
+                 "--sigma-exponents")
+
+
+def _add_options(parser, *flags) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcut",
         description="Minimum-cut partitioning under cluster-size floors over "
                     "rank-modulated graph families")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help="run seed (overrides PCUT_SEED)")
-    shared.add_argument("--workers", type=int, default=1,
-                        help="parallel candidate evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", help="grid-search clustering", parents=[shared])
+    p = sub.add_parser("cluster", help="grid-search clustering")
     p.add_argument("--features", help="feature CSV (similarity modality)")
     p.add_argument("--graph", help="edge list (connectivity modality)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--out", default="pcut-out", help="output directory")
-    _add_common(p, k_grid=True)
+    _add_options(p, *_RUN_OPTIONS, "--variant", "--extra-variants", "--sweep-cuts")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("ssl", help="semi-supervised label propagation", parents=[shared])
+    p = sub.add_parser("ssl", help="semi-supervised label propagation")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True, help="CSV of node_id,class")
     p.add_argument("--out", default="pcut-out")
-    _add_common(p, k_grid=True)
+    _add_options(p, *_RUN_OPTIONS)
     p.set_defaults(func=cmd_ssl)
 
-    p = sub.add_parser("synth", help="generate synthetic data files", parents=[shared])
+    p = sub.add_parser("synth", help="generate synthetic data files")
     p.add_argument("kind", choices=["sbm", "mixture", "crescents"])
     p.add_argument("--out", default="pcut-synth")
     p.add_argument("--n", type=int, default=500)
@@ -327,29 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="0.5,0.5")
     p.add_argument("--mean", action="append", default=[])
     p.add_argument("--cov", action="append", default=[])
+    _add_options(p, "--seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval", help="score found labels against ground truth", parents=[shared])
+    p = sub.add_parser("eval", help="score found labels against ground truth")
     p.add_argument("--found", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("experiment", help="run a bundled experiment preset", parents=[shared])
-    p.add_argument("name")
+    p = sub.add_parser("experiment", help="run a bundled experiment preset")
+    p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--out", default="pcut-experiment")
     p.add_argument("--seeds", type=int, default=None,
                    help="override the number of seeds")
     p.add_argument("--samplings", type=int, default=None,
                    help="override the number of samplings (dolphins)")
+    _add_options(p, "--workers")
     p.set_defaults(func=cmd_experiment)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NoFeasiblePartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -357,10 +367,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ParameterError, PCutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

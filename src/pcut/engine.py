@@ -140,8 +140,7 @@ def _feasible(min_size: int, delta: float, n: int) -> bool:
     return min_size > delta * n
 
 
-def _candidate(partition, lam, k, sigma, generator, cfg, n, baseline,
-               baseline_edges, index):
+def _candidate(partition, lam, k, sigma, generator, cfg, n, baseline, index):
     sizes = partition.sizes()
     min_size = int(sizes.min())
     cut = cut_value(baseline, partition)
@@ -149,7 +148,7 @@ def _candidate(partition, lam, k, sigma, generator, cfg, n, baseline,
         partition=partition, lam=lam, k=k, sigma=sigma, generator=generator,
         feasible=_feasible(min_size, cfg.delta, n),
         min_cluster_size=min_size, baseline_cut=cut,
-        normalized_cut=cut / baseline_edges if baseline_edges else 0.0,
+        normalized_cut=cut / baseline.m if baseline.m else 0.0,
         index=index)
 
 
@@ -241,7 +240,7 @@ def _clustering_chunk(chunk, build_graph, cfg, min_side):
     return out
 
 
-def _run_grid(points, build_graph, cfg, labels, n, baseline, baseline_edges):
+def _run_grid(points, build_graph, cfg, labels, n, baseline):
     """Candidates of every grid point, in grid order.
 
     The grid is cut into chunks of consecutive points. A clustering chunk
@@ -269,8 +268,7 @@ def _run_grid(points, build_graph, cfg, labels, n, baseline, baseline_edges):
         lam, k, sigma = params
         for generator, partition in produced:
             candidates.append(_candidate(partition, lam, k, sigma, generator,
-                                         cfg, n, baseline, baseline_edges,
-                                         len(candidates)))
+                                         cfg, n, baseline, len(candidates)))
     return candidates
 
 
@@ -283,7 +281,6 @@ def _similarity_candidates(f: FeatureMatrix, cfg, labels):
     f.neighbors(min(widest, f.n - 1))
     ranks = rank(eta_similarity(f, baseline_graph(f, "construction")))
     selection = baseline_graph(f, "selection")
-    baseline_edges = selection.m
     ks = cfg.ks(f.n)
     dk = {k: avg_knn_distance(f, k) for k in ks}
     points = [(lam, k, (2.0 ** j) * dk[k])
@@ -293,7 +290,7 @@ def _similarity_candidates(f: FeatureMatrix, cfg, labels):
         lam, k, sigma = params
         return rmd_similarity_graph(f, ranks, lam, k, weights="rbf", sigma=sigma)
 
-    return _run_grid(points, build, cfg, labels, f.n, selection, baseline_edges)
+    return _run_grid(points, build, cfg, labels, f.n, selection)
 
 
 def _connectivity_candidates(g: WeightedGraph, cfg, labels):
@@ -305,7 +302,7 @@ def _connectivity_candidates(g: WeightedGraph, cfg, labels):
         lam, _, _ = params
         return rmd_connectivity_graph(g, ranks, lam, counts=counts)
 
-    return _run_grid(points, build, cfg, labels, g.n, g, g.m)
+    return _run_grid(points, build, cfg, labels, g.n, g)
 
 
 def pcut_select(candidates: list[CandidateCut]) -> CandidateCut:

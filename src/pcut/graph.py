@@ -51,7 +51,7 @@ class WeightedGraph:
     an absent edge is weight zero. `edges` is an iterable of (u, v) or
     (u, v, w) tuples, a missing weight meaning 1.0; `from_arrays` takes the
     same edges as arrays. Both go through one validation, which raises
-    InputError naming the first offending edge.
+    EdgeError naming the first offending edge.
     """
 
     def __init__(self, n: int, edges):
@@ -89,13 +89,15 @@ class WeightedGraph:
                | ~(np.isfinite(w) & (w > 0.0)))
         if bad.any():
             i = int(bad.argmax())
-            raise InputError(_edge_error(self.n, u[i], v[i], repeat[i], w[i]))
+            reason = ("self-loop" if u[i] == v[i]
+                      else "range" if lo[i] < 0 or hi[i] >= self.n
+                      else "duplicate" if repeat[i] else "weight")
+            raise EdgeError(edge_message(reason, self.n, u[i], v[i], w[i]),
+                            i, reason)
         if order is not None:
             lo, hi, w = lo[order], hi[order], w[order]
         self._u, self._v, self._w = lo, hi, w
         self._degrees = None
-        self._adjacency = None
-        self._weight_matrix = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -125,21 +127,14 @@ class WeightedGraph:
 
     def adjacency(self) -> np.ndarray:
         """Boolean adjacency matrix (weights ignored)."""
-        if self._adjacency is None:
-            a = np.zeros((self.n, self.n), dtype=bool)
-            a[self._u, self._v] = True
-            a[self._v, self._u] = True
-            self._adjacency = a
-        return self._adjacency
+        a = np.zeros((self.n, self.n), dtype=bool)
+        a[self._u, self._v] = True
+        a[self._v, self._u] = True
+        return a
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
-        if self._weight_matrix is None:
-            m = np.zeros((self.n, self.n))
-            m[self._u, self._v] = self._w
-            m[self._v, self._u] = self._w
-            self._weight_matrix = m
-        return self._weight_matrix
+        return _dense_weights(self.n, self._u, self._v, self._w)
 
     def subgraph(self, keep) -> "WeightedGraph":
         """Induced subgraph on `keep` (old ids remapped to 0..len(keep)-1)."""
@@ -154,16 +149,34 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
-def _edge_error(n, u, v, repeat, w) -> str:
-    """Message for an invalid edge, by the first check it fails."""
-    if u == v:
+class EdgeError(InputError):
+    """InputError for the edge at position `index` of the input; `reason` is
+    the check it fails: "self-loop", "range", "duplicate" or "weight"."""
+
+    def __init__(self, message: str, index: int, reason: str):
+        super().__init__(message)
+        self.index = index
+        self.reason = reason
+
+
+def edge_message(reason: str, n: int, u, v, w) -> str:
+    """Message for an edge (u, v, w) that fails the check `reason`."""
+    if reason == "self-loop":
         return f"self-loop on node {u} is not allowed"
-    if not (0 <= u < n and 0 <= v < n):
+    if reason == "range":
         return f"edge ({u},{v}) outside node range [0,{n})"
     u, v = min(u, v), max(u, v)
-    if repeat:
+    if reason == "duplicate":
         return f"duplicate edge ({u},{v})"
     return f"edge ({u},{v}) has non-positive weight {float(w)}"
+
+
+def _dense_weights(n: int, u, v, w) -> np.ndarray:
+    """Dense symmetric n x n matrix with weight w[i] at (u[i], v[i])."""
+    m = np.zeros((n, n))
+    m[u, v] = w
+    m[v, u] = w
+    return m
 
 
 def cut_value(g: WeightedGraph, p: Partition) -> float:

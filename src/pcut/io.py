@@ -9,17 +9,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .graph import WeightedGraph
+from .graph import EdgeError, WeightedGraph, edge_message
 
 
 def read_edge_list(path) -> WeightedGraph:
     """Read "u v [w]" lines; ids 0- or 1-based, auto-detected by minimum id.
 
-    Missing weights default to 1.0. Duplicate pairs are rejected.
+    Missing weights default to 1.0. WeightedGraph validates the edges; an
+    invalid one (a self-loop, a repeated pair, a weight that is not finite
+    and positive) is reported as path:line with its ids as written.
     """
-    rows = []
-    min_id = None
-    max_id = 0
+    lines, us, vs, ws = [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -34,28 +34,25 @@ def read_edge_list(path) -> WeightedGraph:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
             if u < 0 or v < 0:
                 raise InputError(f"{path}:{lineno}: negative node id")
-            rows.append((lineno, u, v, w))
-            lo = min(u, v)
-            min_id = lo if min_id is None else min(min_id, lo)
-            max_id = max(max_id, u, v)
-    if not rows:
+            lines.append(lineno)
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    if not lines:
         raise InputError(f"{path}: no edges found")
-    offset = 1 if min_id >= 1 else 0
-    n = max_id + 1 - offset
-    seen = {}
-    edges = []
-    for lineno, u, v, w in rows:
-        u -= offset
-        v -= offset
-        if u == v:
-            raise InputError(f"{path}:{lineno}: self-loop on node {u + offset}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise InputError(
-                f"{path}:{lineno}: duplicate edge for pair {key} (first at line {seen[key]})")
-        seen[key] = lineno
-        edges.append((u, v, w))
-    return WeightedGraph(n, edges)
+    u, v = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    offset = 1 if min(u.min(), v.min()) >= 1 else 0
+    n = int(max(u.max(), v.max())) + 1 - offset
+    try:
+        return WeightedGraph.from_arrays(n, u - offset, v - offset, ws)
+    except EdgeError as exc:
+        i = exc.index
+        message = edge_message(exc.reason, n, u[i], v[i], ws[i])
+        if exc.reason == "duplicate":
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            first = np.flatnonzero((lo == lo[i]) & (hi == hi[i]))[0]
+            message += f" (first at line {lines[first]})"
+        raise InputError(f"{path}:{lines[i]}: {message}") from exc
 
 
 def write_edge_list(path, g: WeightedGraph, one_based: bool = False) -> None:

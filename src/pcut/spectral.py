@@ -56,8 +56,8 @@ same summation order in distances and means.
   blocks of every row in one uint64 array pass (Philox is counter-based),
   and derives the first index and the uniforms from them as numpy's
   Generator does. A row whose first index Lemire's method rejects, or
-  that meets the index case, replays its stream through the scalar
-  ``_reset_philox`` path instead.
+  that meets the index case, replays its stream from a new
+  ``_rng(seed, stream)`` instead.
 - Assignment: ``_nearest`` takes each point's nearest centre by a running
   comparison over the K slices of the distances, ties to the lower index,
   as argmin does.
@@ -77,7 +77,7 @@ from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InputError, NumericError, ParameterError
-from .graph import Partition, WeightedGraph
+from .graph import Partition, WeightedGraph, _dense_weights
 
 VARIANTS = ("rcut_unnormalized", "ncut_normalized", "ncut_rw")
 
@@ -239,21 +239,6 @@ def _philox_key(seed: int) -> np.uint64:
     return np.asarray([seed & (2**64 - 1), 0]).astype(np.uint64)[0]
 
 
-def _reset_philox(bitgen: np.random.Philox, seed: int, stream: int) -> None:
-    """Put `bitgen` in the state a new _rng(seed, stream) starts from.
-
-    This is the scalar path of the k-means++ draws: _kmeanspp replays a
-    row's stream with it where _seeding_draws cannot give the draws, and a
-    reset costs about a quarter of building a new Philox.
-    """
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([_philox_key(seed), stream], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-
-
 # Philox4x64-10 as numpy's Philox computes it (Salmon et al., 2011). A
 # round multiplies counter words 0 and 2, one multiplier each (one row each
 # here), and round r keys with the key plus r Weyl increments.
@@ -372,7 +357,7 @@ def _kmeanspp(points: np.ndarray, K: int, seeds, streams) -> np.ndarray:
     chosen centre, as Generator.choice(n, p=...) does, or a fresh index when
     every point sits on a chosen centre. The index and the uniforms come
     from _seeding_draws for every row at once; a row it flags, and a row
-    that meets the index case, replays its stream with the scalar draw.
+    that meets the index case, replays its stream from a new _rng(seed, stream).
     """
     R = len(streams)
     points = np.broadcast_to(points, (R,) + points.shape[-2:])
@@ -380,13 +365,11 @@ def _kmeanspp(points: np.ndarray, K: int, seeds, streams) -> np.ndarray:
     if np.ndim(seeds) == 0:
         seeds = [seeds] * R
     first, uniform, fallback = _seeding_draws(seeds, streams, n, K)
-    bitgen = np.random.Philox(key=[0, 0])
-    gen = np.random.Generator(bitgen)
     index = np.zeros((R, K - 1), dtype=np.int64)
     index_case = np.zeros((R, K - 1), dtype=bool)
 
     def draw(i):
-        _reset_philox(bitgen, seeds[i], streams[i])
+        gen = _rng(seeds[i], streams[i])
         first[i] = gen.integers(n)
         for c in range(K - 1):
             if index_case[i, c]:
@@ -605,13 +588,6 @@ def _active_edges(g: WeightedGraph):
     pos[active] = np.arange(active.size)
     u, v, w = g.edge_arrays()
     return active, deg[active], pos[u], pos[v], w
-
-
-def _dense_weights(n: int, u, v, w) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[u, v] = w
-    m[v, u] = w
-    return m
 
 
 def spectral_bundle(g: WeightedGraph, K: int, normalized: bool):

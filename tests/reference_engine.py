@@ -1,7 +1,8 @@
 """The engine's grid loop as it was before grid chunks: a reference for tests.
 
-_partitions_for_graph and _run_grid below are kept verbatim from that
-engine. Every grid point computes its own bundles and calls kmeans once per
+_partitions_for_graph and _run_grid below are kept from that engine; only
+_run_grid's signature and its _candidate call follow the current engine's.
+Every grid point computes its own bundles and calls kmeans once per
 flavour. Patching pcut.engine._run_grid with this _run_grid makes
 generate_candidates run the old loop; a test may also patch this module's
 _partitions_for_graph to go back one more step.
@@ -51,7 +52,7 @@ def _partitions_for_graph(graph, cfg, labels, cand_seed, min_side):
     return out
 
 
-def _run_grid(points, build_graph, cfg, labels, n, baseline, baseline_edges):
+def _run_grid(points, build_graph, cfg, labels, n, baseline):
     min_side = cfg.delta * n
 
     def job(item):
@@ -73,6 +74,6 @@ def _run_grid(points, build_graph, cfg, labels, n, baseline, baseline_edges):
         lam, k, sigma = params
         for generator, partition in produced:
             candidates.append(_candidate(partition, lam, k, sigma, generator,
-                                         cfg, n, baseline, baseline_edges, index))
+                                         cfg, n, baseline, index))
             index += 1
     return candidates

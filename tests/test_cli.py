@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -85,6 +86,23 @@ class TestClusterCommand:
         assert "missing required key 'index'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_golden_run_id(self, tmp_path, monkeypatch):
+        # a fixed id: any change to what a cluster report echoes changes it
+        monkeypatch.chdir(tmp_path)
+        two_cliques_file(tmp_path)
+        assert main(["cluster", "--graph", "cliques.edges", "--k", "2",
+                     "--delta", "0.2", "--out", "out", "--seed", "1"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["manifest"]["run_id"] == "01ea42c80f6975b7"
+
+    def test_sweep_cuts_with_three_clusters_exits_1(self, tmp_path, capsys):
+        path, _ = two_cliques_file(tmp_path)
+        code = main(["cluster", "--graph", str(path), "--k", "3", "--sweep-cuts",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--sweep-cuts needs --k 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_env_seed_used_and_overridden(self, tmp_path, monkeypatch):
         path, _ = two_cliques_file(tmp_path)
         monkeypatch.setenv("PCUT_SEED", "5")
@@ -151,6 +169,16 @@ class TestSslCommand:
         assert [m["config"]["k_grid"] for m in manifests] == [[5], [5]]
         assert [m["config"]["sigma_exponents"] for m in manifests] == [[0], [1]]
         assert manifests[0]["run_id"] != manifests[1]["run_id"]
+
+    def test_manifest_echoes_no_spectral_flavour(self, tmp_path):
+        fpath, lpath, _ = self.make_inputs(tmp_path, n_labels=2)
+        out = tmp_path / "out"
+        assert main(["ssl", "--features", str(fpath), "--labels", str(lpath),
+                     "--out", str(out), "--delta", "0.1", "--lambda-grid", "1.0",
+                     "--k-grid", "5", "--sigma-exponents", "0"]) == 0
+        config = json.loads((out / "report.json").read_text())["manifest"]["config"]
+        assert sorted(config) == ["K", "delta", "k_grid", "lambda_grid",
+                                  "sigma_exponents"]
 
     def test_missing_class_exits_1(self, tmp_path):
         fpath, lpath, _ = self.make_inputs(tmp_path, n_labels=2)
@@ -222,9 +250,69 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "karate" in err and "dolphins" in err
 
-    def test_crescents_preset_writes_outputs(self, tmp_path):
+    def test_crescents_preset_writes_outputs(self, tmp_path, monkeypatch):
+        # presets fix their own seeds, so PCUT_SEED reaches no manifest
+        monkeypatch.setenv("PCUT_SEED", "5")
         out = tmp_path / "exp"
         code = main(["experiment", "crescents", "--out", str(out)])
         assert code == 0
-        assert (out / "crescents.json").exists()
+        report = json.loads((out / "crescents.json").read_text())
+        assert report["manifest"]["seed"] == 0
         assert (out / "crescents.csv").exists()
+
+
+# every option each subcommand reads, and no other: 43 settable values
+SUBCOMMAND_OPTIONS = {
+    "cluster": {"--features", "--graph", "--k", "--out", "--seed", "--workers",
+                "--delta", "--lambda-grid", "--k-grid", "--sigma-exponents",
+                "--variant", "--extra-variants", "--sweep-cuts"},
+    "ssl": {"--features", "--labels", "--out", "--seed", "--workers", "--delta",
+            "--lambda-grid", "--k-grid", "--sigma-exponents"},
+    "synth": {"kind", "--out", "--n", "--alpha", "--p1", "--p2", "--q",
+              "--no-equalize", "--noise", "--weights", "--mean", "--cov",
+              "--seed"},
+    "eval": {"--found", "--truth", "--out"},
+    "experiment": {"name", "--out", "--seeds", "--samplings", "--workers"},
+}
+
+
+class TestParser:
+    def subparsers(self):
+        parser = cli.build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_subcommand_has_exactly_the_options_it_reads(self):
+        found = {name: {a.option_strings[0] if a.option_strings else a.dest
+                        for a in p._actions
+                        if not isinstance(a, argparse._HelpAction)}
+                 for name, p in self.subparsers().items()}
+        assert found == SUBCOMMAND_OPTIONS
+        assert sum(len(v) for v in found.values()) == 43
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--graph", "g.edges"],
+         "the following arguments are required: --k"),
+        (["cluster", "--graph", "g.edges", "--k", "2", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        # removed flags; "--seed" is not read as an abbreviated "--seeds"
+        (["eval", "--found", "a.csv", "--truth", "b.csv", "--seed", "5"],
+         "unrecognized arguments: --seed 5"),
+        (["ssl", "--features", "f.csv", "--labels", "l.csv", "--variant", "ncut_rw"],
+         "unrecognized arguments: --variant ncut_rw"),
+        (["experiment", "karate", "--seed", "5"], "unrecognized arguments: --seed 5"),
+        (["synth", "sbm", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ])
+    def test_usage_errors_exit_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pcut")
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("command", [None, *SUBCOMMAND_OPTIONS])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(([command] if command else []) + ["--help"])
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out

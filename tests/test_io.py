@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,22 @@ class TestEdgeList:
         path = tmp_path / "g.edges"
         path.write_text("0 1\n1 0\n")
         with pytest.raises(InputError, match=":2"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("2 3 nan", r"edge \(2,3\) has non-positive weight nan"),
+        ("2 3 inf", r"edge \(2,3\) has non-positive weight inf"),
+        ("3 2 0", r"edge \(2,3\) has non-positive weight 0\.0"),
+        ("2 3 -1", r"edge \(2,3\) has non-positive weight -1\.0"),
+        ("2 2", r"self-loop on node 2 is not allowed"),
+        ("2 1 0.5", r"duplicate edge \(1,2\) \(first at line 1\)"),
+    ])
+    def test_edge_error_names_line_and_ids_as_written(self, tmp_path, line,
+                                                      message):
+        # 1-based ids; the blank line still counts toward the line number
+        path = tmp_path / "bad.edges"
+        path.write_text(f"1 2\n\n3 4\n{line}\n4 5\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:4: {message}$"):
             read_edge_list(path)
 
     def test_malformed_line_reported(self, tmp_path):
