@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .construction import (FeatureMatrix, avg_knn_distance, baseline_graph,
                            knn_graph, pairwise_distances)
-from .engine import (CandidateCut, PCutConfig, cut_ratio_diagnostics,
-                     generate_candidates, pcut_select)
+from .engine import CandidateCut, PCutConfig, generate_candidates, pcut_select
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
-                     NumericError, ParameterError, PCutError,
-                     UndefinedRatioError)
+                     NumericError, ParameterError, PCutError)
 from .evaluation import ErrorReport, clustering_error, hungarian_match
 from .graph import Partition, WeightedGraph, connected_components, cut_value
 from .propagation import LabelSet, grf_propagate, grf_scores
@@ -29,9 +27,9 @@ __all__ = [
     "CandidateCut", "ConstraintError", "ErrorReport", "FeatureMatrix",
     "InputError", "LabelSet", "NoFeasiblePartitionError", "NumericError",
     "ParameterError", "PCutConfig", "PCutError", "Partition", "SbmSpec",
-    "SpectralConfig", "UndefinedRatioError", "WeightedGraph",
+    "SpectralConfig", "WeightedGraph",
     "avg_knn_distance", "baseline_graph", "clustering_error",
-    "connected_components", "crescent_dataset", "cut_ratio_diagnostics",
+    "connected_components", "crescent_dataset",
     "cut_value", "eta_connectivity", "eta_similarity", "gaussian_mixture",
     "generate_candidates",
     "grf_propagate", "grf_scores", "hungarian_match", "kmeans", "knn_graph",

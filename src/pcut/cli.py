@@ -237,18 +237,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {}
-    if args.seeds is not None:
-        overrides["n_seeds"] = args.seeds
-    if args.samplings is not None:
-        overrides["n_samplings"] = args.samplings
+    t0 = time.time()
+    # the worker count does not change the work, so only the counts reach
+    # the manifest
+    counts = {key: value for key, value in (("n_seeds", args.seeds),
+                                            ("n_samplings", args.samplings))
+              if value is not None}
+    workers = {} if args.workers is None else {"workers": args.workers}
     out = Path(args.out)
-    summary = run_experiment(args.name, out_dir=out, workers=args.workers,
-                             **overrides)
-    timings = {"wall_seconds": summary.pop("wall_seconds", None)}
+    summary = run_experiment(args.name, out_dir=out, **counts, **workers)
     # each preset fixes its own seeds, which the summary records
-    manifest = _manifest(f"experiment:{args.name}", {"overrides": overrides}, {}, 0)
-    report = {"manifest": manifest, "summary": summary, "timings": timings}
+    manifest = _manifest(f"experiment:{args.name}", {"overrides": counts}, {}, 0)
+    report = {"manifest": manifest, "summary": summary,
+              "timings": {"wall_seconds": time.time() - t0}}
     # an experiment summary is not a run report, so the schema does not apply
     _write_json(out / f"{args.name}.json", report)
     print(json.dumps(summary, sort_keys=True, default=str)[:2000])
@@ -349,11 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--out", default="pcut-experiment")
     p.add_argument("--seeds", type=int, default=None,
-                   help="override the number of seeds")
+                   help="override the number of seeds (sbm presets)")
     p.add_argument("--samplings", type=int, default=None,
                    help="override the number of samplings (dolphins)")
     _add_options(p, "--workers")
-    p.set_defaults(func=cmd_experiment)
+    # a preset that takes no workers rejects the flag only when it is given
+    p.set_defaults(func=cmd_experiment, workers=None)
     return parser
 
 

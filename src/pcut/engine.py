@@ -29,7 +29,7 @@ import numpy as np
 from .construction import (FeatureMatrix, as_features, avg_knn_distance,
                            baseline_graph, construction_k0, selection_k0)
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
-                     NumericError, ParameterError, UndefinedRatioError)
+                     NumericError, ParameterError)
 from .graph import Partition, WeightedGraph, cut_value
 from .propagation import LabelSet, grf_propagate
 from .ranking import (common_neighbor_counts, eta_connectivity,
@@ -326,21 +326,3 @@ def pcut_select(candidates: list[CandidateCut]) -> CandidateCut:
     return min(feasible, key=lambda c: (
         c.baseline_cut, -c.lam, _GENERATOR_PRIORITY.get(c.generator, 9),
         -c.min_cluster_size, c.index))
-
-
-def cut_ratio_diagnostics(g: WeightedGraph, p: Partition,
-                          p_balanced: Partition):
-    """(q, y, rcut_ratio) of a binary partition against a balanced one.
-
-    q is the cut-value ratio, y the share of the smaller side, and a
-    rcut_ratio below 1 means the cardinality-normalized objective prefers
-    the imbalanced partition.
-    """
-    if p.K != 2 or p_balanced.K != 2:
-        raise ParameterError("diagnostics are defined for binary partitions")
-    balanced_cut = cut_value(g, p_balanced)
-    if balanced_cut <= 0.0:
-        raise UndefinedRatioError("balanced partition has zero cut value")
-    q = cut_value(g, p) / balanced_cut
-    y = p.min_size() / p.n
-    return q, y, q / (4.0 * y * (1.0 - y))

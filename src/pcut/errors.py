@@ -31,7 +31,3 @@ class NoFeasiblePartitionError(PCutError):
     def __init__(self, message, best_infeasible=None):
         super().__init__(message)
         self.best_infeasible = best_infeasible
-
-
-class UndefinedRatioError(PCutError):
-    """Cut-ratio diagnostics requested against a zero-valued balanced cut."""

@@ -55,14 +55,13 @@ def read_edge_list(path) -> WeightedGraph:
         raise InputError(f"{path}:{lines[i]}: {message}") from exc
 
 
-def write_edge_list(path, g: WeightedGraph, one_based: bool = False) -> None:
-    off = 1 if one_based else 0
+def write_edge_list(path, g: WeightedGraph) -> None:
     with open(path, "w") as fh:
         for u, v, w in g.edges():
             if w == 1.0:
-                fh.write(f"{u + off} {v + off}\n")
+                fh.write(f"{u} {v}\n")
             else:
-                fh.write(f"{u + off} {v + off} {w!r}\n")
+                fh.write(f"{u} {v} {w!r}\n")
 
 
 def read_features_csv(path) -> np.ndarray:
@@ -126,11 +125,10 @@ def read_labels_csv(path) -> dict[int, int]:
     return out
 
 
-def write_labels_csv(path, labels, header: bool = True) -> None:
+def write_labels_csv(path, labels) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["node_id", "class"])
+        writer.writerow(["node_id", "class"])
         if isinstance(labels, dict):
             items = sorted(labels.items())
         else:

@@ -1,8 +1,9 @@
 """Inputs shared by the engine-level parity tests.
 
 Each builder returns (inputs, config) for instance 0 of a benchmark workload
-(perfbench/workloads.py), generated without the benchmark's file round trip;
-inputs is a list of (data, labels) pairs for generate_candidates.
+(perfbench/workloads.py; crescents_ssl takes any instance), generated without
+the benchmark's file round trip; inputs is a list of (data, labels) pairs for
+generate_candidates.
 """
 
 import numpy as np
@@ -27,15 +28,15 @@ def sbm_net():
     return [(g, None)], cfg
 
 
-def crescents_ssl():
-    f, truth = pcut.crescent_dataset(n=600, noise=0.08, seed=0)
-    rng = stream(0, "perfbench-ssl-seeds")
+def crescents_ssl(instance=0):
+    f, truth = pcut.crescent_dataset(n=600, noise=0.08, seed=instance)
+    rng = stream(instance, "perfbench-ssl-seeds")
     seeds = []
     for c in range(3):
         seeds += [(int(v), c) for v in
                   rng.choice(np.flatnonzero(truth == c), 5, replace=False)]
     cfg = pcut.PCutConfig(K=3, task="ssl", modality="similarity", delta=0.05,
-                          lambda_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+                          seed=instance, lambda_grid=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
                           k_grid=(10, 30), sigma_exponents=tuple(range(-2, 4)))
     return [(f.x, pcut.LabelSet(tuple(sorted(seeds)), K=3))], cfg
 

