@@ -251,8 +251,9 @@ def cmd_experiment(args) -> int:
     report = {"manifest": manifest, "summary": summary,
               "timings": {"wall_seconds": time.time() - t0}}
     # an experiment summary is not a run report, so the schema does not apply
-    _write_json(out / f"{args.name}.json", report)
-    print(json.dumps(summary, sort_keys=True, default=str)[:2000])
+    path = out / f"{args.name}.json"
+    _write_json(path, report)
+    print(f"wrote {path}")
     return 0
 
 

@@ -15,6 +15,12 @@ embedding of the chunk, each with its own grid point's seed. A chunk holds
 as many grid points as fit their k-means problems in one batch of
 spectral._KMEANS_BATCH_ELEMENTS elements, and at least one. Every candidate
 is byte-identical to clustering one grid point at a time.
+
+Work that does not change along the grid is done once per input: the
+density ranks, the baselines and, for feature inputs, the neighbor table;
+for networks, the common-neighbor counts and the order in which each node
+marks its edges (rmd_connectivity_family), so that a connectivity grid
+point only counts how many edges each node drops.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .graph import Partition, WeightedGraph, cut_value
 from .propagation import LabelSet, grf_propagate
 from .ranking import (common_neighbor_counts, eta_connectivity,
                       eta_similarity, rank)
-from .rmd import rmd_connectivity_graph, rmd_similarity_graph
+from .rmd import rmd_connectivity_family, rmd_similarity_graph
 from .spectral import (VARIANTS, _embedding_rows, check_kmeans_counts,
                        kmeans_batch, kmeans_batch_problems, spectral_bundle,
                        sweep_from_bundle)
@@ -297,10 +303,11 @@ def _connectivity_candidates(g: WeightedGraph, cfg, labels):
     counts = common_neighbor_counts(g)
     ranks = rank(eta_connectivity(g, counts=counts))
     points = [(lam, None, None) for lam in cfg.lambdas()]
+    graph_at = rmd_connectivity_family(g, ranks, counts=counts)
 
     def build(params):
         lam, _, _ = params
-        return rmd_connectivity_graph(g, ranks, lam, counts=counts)
+        return graph_at(lam)
 
     return _run_grid(points, build, cfg, labels, g.n, g)
 

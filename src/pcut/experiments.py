@@ -47,6 +47,13 @@ CRESCENTS_N, CRESCENTS_NOISE, CRESCENTS_SEED = 1000, 0.08, 11
 CRESCENTS_LAMBDA, CRESCENTS_K = 0.5, 30
 
 
+def _check_counts(**counts) -> None:
+    """Raise ParameterError for the first count below 1."""
+    for key, value in counts.items():
+        if value < 1:
+            raise ParameterError(f"{key} must be >= 1, got {value}")
+
+
 def data_path(name: str) -> Path:
     return Path(str(resources.files("pcut").joinpath("data", name)))
 
@@ -111,6 +118,7 @@ def run_sbm_lambda_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     Reports per-lambda mean error and normalized cut for the plain spectral
     flavor, plus the selected-partition and plain-SC error summary.
     """
+    _check_counts(n_seeds=n_seeds, workers=workers)
     per_seed = []
     lam_errors: dict = {}
     lam_cuts: dict = {}
@@ -157,6 +165,7 @@ def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     is mean selected error over mean plain-SC error; when both means are
     exactly zero it is reported as 1.0.
     """
+    _check_counts(n_seeds=n_seeds, workers=workers)
     rows = []
     per_alpha = {}
     for alpha in ALPHA_SWEEP_ALPHAS:
@@ -206,6 +215,7 @@ def run_karate(out_dir=None, workers=1):
     This preset keeps the plain spectral family (no sweep candidates),
     matching the source study's black-box configuration.
     """
+    _check_counts(workers=workers)
     g, truth = load_bundled_network("karate")
     full = _karate_outcome(g, truth, list(range(1, g.n + 1)), 5 / 34, workers)
     keep = [i for i in range(g.n) if (i + 1) not in KARATE_REMOVED_1BASED]
@@ -236,6 +246,7 @@ def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
     After removing the sampled nodes, anything disconnected from the largest
     component is dropped too; errors are means over samplings.
     """
+    _check_counts(n_samplings=n_samplings, workers=workers)
     g, truth = load_bundled_network("dolphins")
     small_nodes = np.flatnonzero(truth.assignment == 0)
     per_removal = {}
@@ -315,8 +326,8 @@ EXPERIMENTS = tuple(PRESETS)
 
 
 def run_experiment(name: str, out_dir=None, **overrides):
-    """Run preset `name`; an override it does not take, or a count below 1,
-    raises ParameterError."""
+    """Run preset `name`; an override it does not take, or a count below 1
+    (which the preset checks), raises ParameterError."""
     if name not in PRESETS:
         raise ParameterError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}")
@@ -327,6 +338,4 @@ def run_experiment(name: str, out_dir=None, **overrides):
             raise ParameterError(
                 f"experiment {name!r} does not take {key}; "
                 f"it takes {', '.join(takes) or 'no overrides'}")
-        if value < 1:
-            raise ParameterError(f"{key} must be >= 1, got {value}")
     return preset(out_dir, **overrides)

@@ -145,6 +145,18 @@ class WeightedGraph:
         return WeightedGraph.from_arrays(keep.size, pos[self._u[mask]],
                                          pos[self._v[mask]], self._w[mask])
 
+    def _edge_subset(self, keep) -> "WeightedGraph":
+        """This graph with only the edges where the mask `keep` holds.
+
+        A subset of valid edges, kept in order, is valid and sorted, so it
+        is not checked again; from_arrays would return the same arrays.
+        """
+        g = WeightedGraph.__new__(WeightedGraph)
+        g.n = self.n
+        g._u, g._v, g._w = self._u[keep], self._v[keep], self._w[keep]
+        g._degrees = None
+        return g
+
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
@@ -168,7 +180,7 @@ def edge_message(reason: str, n: int, u, v, w) -> str:
     u, v = min(u, v), max(u, v)
     if reason == "duplicate":
         return f"duplicate edge ({u},{v})"
-    return f"edge ({u},{v}) has non-positive weight {float(w)}"
+    return f"edge ({u},{v}) has weight {float(w)}; weights must be finite and positive"
 
 
 def _dense_weights(n: int, u, v, w) -> np.ndarray:

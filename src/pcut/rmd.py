@@ -6,7 +6,10 @@ neighbor table. Connectivity networks only remove edges: each node marks
 its weakest ties (fewest common neighbors) down to a rank-scaled degree
 target, and an edge is dropped when either endpoint marks it. The
 common-neighbor counts are one entry per edge, in edge order
-(`ranking.common_neighbor_counts`).
+(`ranking.common_neighbor_counts`). The order in which a node marks its
+edges does not depend on lambda: `rmd_connectivity_family` sorts it once
+per input graph, and each lambda then sets only how many edges every node
+marks.
 """
 
 from __future__ import annotations
@@ -27,14 +30,18 @@ def _scalar_or_array(out: np.ndarray):
     return int(out) if out.ndim == 0 else out
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
+
+
 def modulated_k(k: int, lam: float, r, n_nodes: int):
     """Per-node neighbor count k * (lam + 2 (1-lam) r), rounded and clamped.
 
     lam = 1 means no modulation; rank 0.5 reproduces k for any lam. `r` is
     one rank (the result is an int) or an array of ranks (an int array).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
+    _check_lambda(lam)
     r = np.asarray(r, dtype=float)
     bad = ~((r > 0.0) & (r <= 1.0))
     if bad.any():
@@ -74,6 +81,37 @@ def degree_target(d, lam: float, r):
     return _scalar_or_array(np.where(d <= 0, 0, kept))
 
 
+def rmd_connectivity_family(g: WeightedGraph, ranks,
+                            counts: np.ndarray | None = None):
+    """The function lam -> rmd_connectivity_graph(g, ranks, lam, counts).
+
+    The marking order does not depend on lambda, so it is computed here,
+    once: every edge once from each endpoint, grouped by node, then by
+    common-neighbor count and neighbor id, and each half-edge's slot in its
+    node's group. A lambda then only sets how many slots each node marks.
+    """
+    ranks = np.asarray(ranks, dtype=float).reshape(-1)
+    if ranks.size != g.n:
+        raise ParameterError(f"got {ranks.size} ranks for {g.n} nodes")
+    u, v, _ = g.edge_arrays()
+    s = common_neighbor_counts(g) if counts is None else np.asarray(counts)
+    if s.shape != u.shape:
+        raise ParameterError(f"got counts of shape {s.shape} for {g.m} edges")
+    node = np.concatenate([u, v])
+    order = np.lexsort((np.concatenate([v, u]), np.concatenate([s, s]), node))
+    deg = np.bincount(node, minlength=g.n)
+    slot = np.empty(2 * g.m, dtype=np.int64)
+    slot[order] = np.arange(order.size) - (np.cumsum(deg) - deg)[node[order]]
+    slot_u, slot_v = slot[:g.m], slot[g.m:]
+
+    def graph(lam: float) -> WeightedGraph:
+        _check_lambda(lam)
+        drop = deg - degree_target(deg, lam, ranks)
+        return g._edge_subset((slot_u >= drop[u]) & (slot_v >= drop[v]))
+
+    return graph
+
+
 def rmd_connectivity_graph(g: WeightedGraph, ranks, lam: float,
                            counts: np.ndarray | None = None) -> WeightedGraph:
     """Sparsify g by per-node marking of lowest-common-neighbor edges.
@@ -84,25 +122,8 @@ def rmd_connectivity_graph(g: WeightedGraph, ranks, lam: float,
     it, so realized degrees may undershoot the per-node targets. Counts are
     taken on the original graph, never on the partially sparsified one;
     pass them in, one per edge as common_neighbor_counts(g) returns them,
-    when sweeping many lambdas over the same graph.
+    when sweeping many lambdas over the same graph, or sweep them with
+    rmd_connectivity_family, which also computes the marking order once.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
-    ranks = np.asarray(ranks, dtype=float)
-    if ranks.size != g.n:
-        raise ParameterError(f"got {ranks.size} ranks for {g.n} nodes")
-    u, v, w = g.edge_arrays()
-    s = common_neighbor_counts(g) if counts is None else np.asarray(counts)
-    if s.shape != u.shape:
-        raise ParameterError(f"got counts of shape {s.shape} for {g.m} edges")
-    # every edge once from each endpoint, grouped by node, then by count
-    # and neighbor id; node v marks the first `drop[v]` of its group
-    node = np.concatenate([u, v])
-    order = np.lexsort((np.concatenate([v, u]), np.concatenate([s, s]), node))
-    deg = np.bincount(node, minlength=g.n)
-    drop = deg - degree_target(deg, lam, ranks.reshape(-1))
-    slot = np.arange(order.size) - (np.cumsum(deg) - deg)[node[order]]
-    half = np.zeros(2 * g.m, dtype=bool)
-    half[order[slot < drop[node[order]]]] = True
-    marked = half[:g.m] | half[g.m:]
-    return WeightedGraph.from_arrays(g.n, u[~marked], v[~marked], w[~marked])
+    _check_lambda(lam)  # reported before bad ranks or counts
+    return rmd_connectivity_family(g, ranks, counts)(lam)

@@ -36,10 +36,11 @@ Which eigensolver runs:
   changed candidates and one selection. K = 2 is exposed to the same miss.
 
 The dense path forms the n x n Laplacian and calls ``smallest_eigenvectors``.
-k-means scores a partition the same under any labelling (`_wcss`), so
-rounding in that score cannot relabel a candidate. Sweep cuts add edge
-weights in edge order, so on weighted graphs a cut can differ from a dense
-row sum in the last bit, and a tie between prefix cuts can go either way.
+Both solvers apply one sign rule, in one array pass over the columns
+(``_fix_signs``): each column's first entry above 1e-12 in magnitude is
+nonnegative. Sweep cuts add edge weights in edge order, so on weighted
+graphs a cut can differ from a dense row sum in the last bit, and a tie
+between prefix cuts can go either way.
 
 ``kmeans`` rounds an embedding: k-means++ seeding, then Lloyd iterations,
 best of several restarts. It is the one-problem case of ``kmeans_batch``,
@@ -47,10 +48,10 @@ which the engine calls once per chunk of grid points with every
 (grid point, flavour) embedding of that chunk. The restarts of all problems
 form one row axis and advance together as array operations (``_kmeanspp``,
 ``_lloyd``), in batches of at most _KMEANS_BATCH_ELEMENTS elements; a row
-whose labels stop changing is frozen, and each problem scores each of its
-distinct partitions once. Every step is bit-identical to running the
-restarts one after another: the same Philox streams, the same draws, the
-same summation order in distances and means.
+whose labels stop changing is frozen. Every step is bit-identical to
+running the restarts one after another: the same Philox streams, the same
+draws, the same summation order in distances and means, and the same
+winner.
 
 - Seeding draws: ``_seeding_draws`` computes the first Philox4x64-10
   blocks of every row in one uint64 array pass (Philox is counter-based),
@@ -64,6 +65,15 @@ same summation order in distances and means.
 - Centres: ``_cluster_means`` sums each column with its own ``bincount``,
   which adds a cluster's points in point order, as the per-cluster mean
   does.
+- Winner (``_winners``): the restart with the lowest within-cluster sum of
+  squares, ties to the earlier restart. ``_wcss`` scores a partition the
+  same under any labelling, so rounding in it cannot relabel a candidate.
+  Only the first restart of each distinct partition is a contender, found
+  by comparing first-occurrence labels as arrays. Every contender gets an
+  array score, ``_array_wcss``, which adds the same terms as ``_wcss`` in
+  another order; ``_wcss`` runs only where that score lies within a
+  relative 4 * n * dim * eps of its problem's lowest, since both lie within
+  about n * dim unit roundoffs of the exact sum.
 """
 
 from __future__ import annotations
@@ -141,11 +151,10 @@ def _laplacian(w: np.ndarray, variant: str) -> np.ndarray:
 
 def _fix_signs(vecs: np.ndarray) -> None:
     """Make each column's first component above 1e-12 in magnitude nonnegative."""
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
+    big = np.abs(vecs) > 1e-12
+    first = big.argmax(axis=0), np.arange(vecs.shape[1])
+    flip = big[first] & (vecs[first] < 0)
+    vecs[:, flip] = -vecs[:, flip]
 
 
 def _check_residual(residual: np.ndarray, scale: float) -> None:
@@ -315,7 +324,8 @@ def _wcss(points, labels, K):
 
     The per-cluster terms are added with math.fsum (one rounding), so one
     partition under two labellings gets the same value and kmeans keeps the
-    earlier restart. For K = 2 this equals the plain running sum.
+    earlier restart. For K = 2 this equals the plain running sum. It decides
+    between near ties only (see _winners).
     """
     terms = []
     for k in range(K):
@@ -403,14 +413,12 @@ def _kmeanspp(points: np.ndarray, K: int, seeds, streams) -> np.ndarray:
     return centres
 
 
-def _cluster_means(points: np.ndarray, labels: np.ndarray, d2: np.ndarray,
-                   K: int) -> np.ndarray:
-    """Centres of a Lloyd step for each row, shape (rows, K, dim).
+def _means(points: np.ndarray, labels: np.ndarray, K: int):
+    """Cluster centres (rows, K, dim) and sizes (rows, K) of each row's labels.
 
     `points` is shared by every row or given per row, as in _sq_distances.
     A centre is points[labels[r] == k].mean(axis=0) to the bit; an empty
-    cluster takes the point farthest from its nearest centre under `d2`,
-    the step's (rows, K, n) squared distances.
+    cluster's centre is 0.
     """
     A, n = labels.shape
     dim = points.shape[-1]
@@ -429,9 +437,21 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, d2: np.ndarray,
                                      minlength=A * K)
                          for j in range(dim)], axis=1).reshape(A, K, dim)
         means = sums / np.maximum(counts, 1)[:, :, None]
+    return means, counts
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, d2: np.ndarray,
+                   K: int) -> np.ndarray:
+    """Centres of a Lloyd step for each row, shape (rows, K, dim).
+
+    As _means, except that an empty cluster takes the point farthest from
+    its nearest centre under `d2`, the step's (rows, K, n) squared distances.
+    """
+    means, counts = _means(points, labels, K)
     empty = counts == 0
     if empty.any():
-        far = points[np.arange(A), d2.min(axis=1).argmax(axis=1)]
+        points = np.broadcast_to(points, labels.shape + points.shape[-1:])
+        far = points[np.arange(labels.shape[0]), d2.min(axis=1).argmax(axis=1)]
         means = np.where(empty[:, :, None], far[:, None, :], means)
     return means
 
@@ -483,10 +503,64 @@ def _lloyd(points: np.ndarray, centres: np.ndarray, max_iters: int) -> np.ndarra
 
 def _first_occurrence_labels(labels: np.ndarray, K: int) -> np.ndarray:
     """Each row's labels renumbered 0, 1, ... in order of first occurrence."""
-    hit = labels[:, :, None] == np.arange(K)
-    first = np.where(hit.any(axis=1), hit.argmax(axis=1), labels.shape[1])
+    hit = labels[:, None, :] == np.arange(K)[:, None]
+    first = np.where(hit.any(axis=2), hit.argmax(axis=2), labels.shape[1])
     rank = first.argsort(axis=1, kind="stable").argsort(axis=1)
     return np.take_along_axis(rank, labels, axis=1)
+
+
+def _array_wcss(points: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """Within-cluster sum of squares of each row, shape (rows,).
+
+    `points` is each row's problem, shape (rows, n, dim). The centres are
+    _means's and each term (x - c)**2 is _wcss's to the bit; only the order
+    in which the terms are added differs, per point and then over points.
+    """
+    centres, _ = _means(points, labels, K)
+    diff = points - centres[np.arange(labels.shape[0])[:, None], labels]
+    return (diff ** 2).sum(axis=2).sum(axis=1)
+
+
+def _winners(points: np.ndarray, labels: np.ndarray, K: int, step: int) -> np.ndarray:
+    """The restart kmeans returns for each problem, shape (problems,).
+
+    `labels` is (problems, restarts, n). The restart with the lowest _wcss
+    wins, ties to the earlier restart, and only the first restart of each
+    distinct partition (equal first-occurrence labels) is a contender. Each
+    contender of a problem with more than one gets an _array_wcss score, in
+    slices of `step` rows; _wcss runs only on those within a relative
+    4 * n * dim * eps of their problem's lowest score. Both add the same
+    N = n * dim nonnegative terms, so each lies within about N unit
+    roundoffs of their exact sum (Higham 2002, sec. 4.2): a contender whose
+    score exceeds the lowest by more than that band has a higher _wcss than
+    the lowest one's, and cannot win. A NaN or infinite lowest score sends
+    every contender of its problem to _wcss.
+    """
+    P, R, n = labels.shape
+    keys = _first_occurrence_labels(labels.reshape(-1, n), K).reshape(P, R, n)
+    # the earliest restart with each row's partition, from one comparison of
+    # every pair of restarts per slice of problems; a slice's R * R * n
+    # booleans fit one batch, or hold one problem
+    per = max(1, _KMEANS_BATCH_ELEMENTS // (R * R * n))
+    first = np.concatenate([
+        (keys[lo:lo + per, :, None] == keys[lo:lo + per, None]).all(axis=3).argmax(axis=2)
+        for lo in range(0, P, per)])
+    contender = first == np.arange(R)
+    contender &= (contender.sum(axis=1) > 1)[:, None]
+    p, r = np.nonzero(contender)
+    score = np.concatenate([np.zeros(0)] + [
+        _array_wcss(points[p[lo:lo + step]], labels[p[lo:lo + step], r[lo:lo + step]], K)
+        for lo in range(0, p.size, step)])
+    lowest = np.full(P, np.inf)
+    np.minimum.at(lowest, p, score)
+    band = lowest * (1.0 + 4.0 * n * points.shape[2] * np.finfo(float).eps)
+    near = ~(score > band[p])
+    p, r = p[near], r[near]
+    best = np.zeros(P, dtype=np.int64)
+    best[p] = r  # the one near contender of most problems
+    for q in np.flatnonzero(np.bincount(p, minlength=P) > 1):
+        best[q] = min(r[p == q], key=lambda s: _wcss(points[q], labels[q, s], K))
+    return best
 
 
 def check_kmeans_counts(restarts: int, max_iters: int) -> None:
@@ -518,8 +592,8 @@ def kmeans_batch(points: np.ndarray, K: int, seeds, restarts: int = 10,
     rows * K * n * dim, or of one row when a single row is larger. A batch
     may hold several problems, and a problem may span batches: each row
     seeds, iterates and freezes on its own, so the split changes no bit.
-    The first-occurrence dedup and the scoring stay per problem, and a
-    problem whose restarts all end in one partition needs no score.
+    _winners then picks each problem's restart; a problem whose restarts
+    all end in one partition needs no score.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 3:
@@ -544,17 +618,8 @@ def kmeans_batch(points: np.ndarray, K: int, seeds, restarts: int = 10,
         centres = _kmeanspp(rows, K, row_seeds[lo:lo + step], row_streams[lo:lo + step])
         labels.append(_lloyd(rows, centres, max_iters))
     labels = np.concatenate(labels).reshape(P, restarts, n)
-    keys = _first_occurrence_labels(labels.reshape(-1, n), K).reshape(P, restarts, n)
-    out = []
-    for p in range(P):
-        first = {}  # the first restart of each distinct partition; ties keep it
-        for r in range(restarts):
-            first.setdefault(keys[p, r].tobytes(), r)
-        starts = list(first.values())
-        best = starts[0] if len(starts) == 1 else min(
-            starts, key=lambda r: _wcss(points[p], labels[p, r], K))
-        out.append(Partition(assignment=labels[p, best].copy(), K=K))
-    return out
+    return [Partition(assignment=labels[p, best].copy(), K=K)
+            for p, best in enumerate(_winners(points, labels, K, step))]
 
 
 def kmeans(points: np.ndarray, K: int, restarts: int = 10,
@@ -572,7 +637,7 @@ def kmeans(points: np.ndarray, K: int, restarts: int = 10,
     together as array operations, and a converged restart is frozen; the
     result is bit-identical to running the restarts one after another.
     Restarts that end in the same partition, under any labelling, score the
-    same, so only the first of them is scored.
+    same, so only the first of them is a contender (see _winners).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:

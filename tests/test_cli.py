@@ -277,6 +277,17 @@ class TestExperimentCommand:
         assert "wall_seconds" not in report["summary"]
         assert (out / "crescents.csv").exists()
 
+    def test_prints_the_written_path(self, tmp_path, monkeypatch, capsys):
+        # a summary far longer than one line stays whole in the file, and
+        # stdout names that file and nothing else
+        summary = {"per_seed": [{"seed": s, "error": s / 7} for s in range(500)]}
+        monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: summary)
+        out = tmp_path / "exp"
+        assert main(["experiment", "sbm-lambda-sweep", "--out", str(out)]) == 0
+        path = out / "sbm-lambda-sweep.json"
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert json.loads(path.read_text())["summary"] == summary
+
 
 # every option each subcommand reads, and no other: 43 settable values
 SUBCOMMAND_OPTIONS = {

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from pcut.errors import ParameterError
-from pcut.experiments import EXPERIMENTS, PRESETS, run_experiment
+from pcut.experiments import (EXPERIMENTS, PRESETS, run_dolphins, run_experiment,
+                              run_karate, run_sbm_alpha_sweep,
+                              run_sbm_lambda_sweep)
 
 # each preset is a fixed study: out_dir plus the overrides some caller sets
 PRESET_PARAMETERS = {
@@ -41,6 +43,21 @@ def test_rejected_overrides(name, overrides, match, tmp_path):
     with pytest.raises(ParameterError, match=match):
         run_experiment(name, out_dir=tmp_path / "out", **overrides)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset, counts, match", [
+    (run_sbm_lambda_sweep, dict(n_seeds=0), r"^n_seeds must be >= 1, got 0$"),
+    (run_sbm_alpha_sweep, dict(n_seeds=0), r"^n_seeds must be >= 1, got 0$"),
+    (run_dolphins, dict(n_samplings=0), r"^n_samplings must be >= 1, got 0$"),
+    (run_sbm_lambda_sweep, dict(workers=0), r"^workers must be >= 1, got 0$"),
+    (run_karate, dict(workers=-1), r"^workers must be >= 1, got -1$"),
+])
+def test_presets_called_directly_reject_counts_below_one(preset, counts, match,
+                                                         tmp_path):
+    # the check runs before any trial, so no NaN mean can reach a summary
+    with pytest.raises(ParameterError, match=match):
+        preset(tmp_path, **counts)
+    assert not any(tmp_path.iterdir())
 
 
 def test_dolphins_summary_golden():

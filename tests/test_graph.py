@@ -165,7 +165,8 @@ class TestConstruction:
                                           (np.nan, "nan"), (np.inf, "inf")])
     def test_weight_message_names_first_offender(self, w, shown):
         with pytest.raises(InputError,
-                           match=rf"^edge \(0,2\) has non-positive weight {shown}$"):
+                           match=rf"^edge \(0,2\) has weight {shown}; "
+                                 r"weights must be finite and positive$"):
             WeightedGraph(3, [(0, 1, 1.0), (2, 0, w), (1, 2, -1.0)])
 
     def test_malformed_tuple_rejected(self):
@@ -174,7 +175,8 @@ class TestConstruction:
 
     def test_earliest_edge_wins_across_checks(self):
         # the weight error comes first in input order, the self-loop later
-        with pytest.raises(InputError, match=r"non-positive weight -1\.0$"):
+        with pytest.raises(InputError, match=r"has weight -1\.0; "
+                                             r"weights must be finite and positive$"):
             WeightedGraph(3, [(0, 1, -1.0), (2, 2)])
 
     def test_edges_sorted_and_symmetric_storage(self):

@@ -56,7 +56,8 @@ def reference_edge_arrays(n, edges):
             raise InputError(f"duplicate edge ({u},{v})")
         w = float(w)
         if not np.isfinite(w) or w <= 0.0:
-            raise InputError(f"edge ({u},{v}) has non-positive weight {w}")
+            raise InputError(f"edge ({u},{v}) has weight {w}; "
+                             "weights must be finite and positive")
         seen.add((u, v))
         us.append(u)
         vs.append(v)
@@ -191,6 +192,11 @@ def reference_connectivity_graph(g, ranks, lam, counts=None):
             marked.add((v, w) if v < w else (w, v))
     edges = [(u, v, w) for u, v, w in g.edges() if (u, v) not in marked]
     return reference_graph(g.n, edges)
+
+
+def reference_connectivity_family(g, ranks, counts=None):
+    """rmd_connectivity_family's contract on top of the per-node loop."""
+    return lambda lam: reference_connectivity_graph(g, ranks, lam)
 
 
 def assert_same_arrays(got, want):
@@ -353,7 +359,7 @@ REFERENCE_BUILDERS = (("baseline_graph", reference_baseline_graph),
                       ("rmd_similarity_graph", reference_similarity_graph),
                       ("common_neighbor_counts", reference_dense_counts),
                       ("eta_connectivity", reference_eta_connectivity),
-                      ("rmd_connectivity_graph", reference_connectivity_graph))
+                      ("rmd_connectivity_family", reference_connectivity_family))
 
 
 @pytest.mark.slow

@@ -44,10 +44,10 @@ class TestEdgeList:
             read_edge_list(path)
 
     @pytest.mark.parametrize("line, message", [
-        ("2 3 nan", r"edge \(2,3\) has non-positive weight nan"),
-        ("2 3 inf", r"edge \(2,3\) has non-positive weight inf"),
-        ("3 2 0", r"edge \(2,3\) has non-positive weight 0\.0"),
-        ("2 3 -1", r"edge \(2,3\) has non-positive weight -1\.0"),
+        ("2 3 nan", r"edge \(2,3\) has weight nan; weights must be finite and positive"),
+        ("2 3 inf", r"edge \(2,3\) has weight inf; weights must be finite and positive"),
+        ("3 2 0", r"edge \(2,3\) has weight 0\.0; weights must be finite and positive"),
+        ("2 3 -1", r"edge \(2,3\) has weight -1\.0; weights must be finite and positive"),
         ("2 2", r"self-loop on node 2 is not allowed"),
         ("2 1 0.5", r"duplicate edge \(1,2\) \(first at line 1\)"),
     ])

@@ -21,8 +21,8 @@ from pcut.engine import mix_seed
 from pcut.errors import InputError, ParameterError
 from pcut.graph import Partition
 from pcut.spectral import (_cluster_means, _kmeanspp, _nearest, _rng,
-                           _seeding_draws, _sq_distances, _wcss, kmeans,
-                           kmeans_batch)
+                           _seeding_draws, _sq_distances, _wcss, _winners,
+                           kmeans, kmeans_batch)
 
 from benchmark_instances import candidate_bytes, dolphins_small, sbm_net
 
@@ -343,6 +343,114 @@ def test_stacked_problems_match_reference(K, dim, extra, restarts, max_iters,
     assert len(got) == len(want)
     for ours, theirs in zip(got, want):
         assert_same_partition(ours, theirs)
+
+
+def reference_winner(points, labels, K):
+    """reference_kmeans's rule: the lowest _wcss, ties to the earlier restart."""
+    return min(range(len(labels)), key=lambda r: _wcss(points, labels[r], K))
+
+
+# the corners of a unit square, one lifted by one ulp of 1.0: its left/right
+# split scores exactly one ulp above its top/bottom split
+ULP_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+LEFT_RIGHT, TOP_BOTTOM, CORNER = [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]
+# six points and their mirror images across the diagonal, one coordinate
+# moved by one ulp (index 8): the split by x scores one ulp below the split by
+# y exactly, and one ulp above it in the array score
+MIRRORED = np.array([
+    [-0.10160889077002393, -0.34979921539188125], [-0.8283156502165506, -0.8917323261422714],
+    [1.172451227346323, -0.08452148800245246], [0.7869443810905431, -1.297363846342752],
+    [-1.9381681078391828, -1.0490912309999634], [1.146626967509505, 1.0680774398324595],
+    [-0.34979921539188125, -0.10160889077002393], [-0.8917323261422714, -0.8283156502165506],
+    [-0.08452148800245243, 1.172451227346323], [-1.297363846342752, 0.7869443810905431],
+    [-1.0490912309999634, -1.9381681078391828], [1.0680774398324595, 1.146626967509505]])
+BY_X = [1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1]
+BY_Y = [0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1]
+
+
+def relabelled(labels, K, seed):
+    return np.random.default_rng(seed).permutation(K)[np.asarray(labels)]
+
+
+def near_tie_cases():
+    rng = np.random.default_rng(11)
+    blobs = np.vstack([rng.normal(size=(6, 2)) + c for c in ((0, 0), (5, 0), (0, 5), (5, 5))])
+    blob_labels = np.repeat(np.arange(4), 6)
+    line = np.concatenate([rng.normal(size=7), rng.normal(size=7) + 9.0])[:, None]
+    return {
+        # mirror images: equal scores, so the earlier restart wins
+        "mirror": (SQUARE, 2, [CORNER, TOP_BOTTOM, LEFT_RIGHT, [1, 0, 1, 0]]),
+        "mirror, other order": (SQUARE, 2, [LEFT_RIGHT, CORNER, TOP_BOTTOM]),
+        # one ulp apart, the lower one later: the array scores round both
+        # to 1.0, and the exact score has to decide
+        "one ulp": (ULP_SQUARE, 2, [LEFT_RIGHT, [1, 0, 1, 0], TOP_BOTTOM]),
+        "one ulp, lower first": (ULP_SQUARE, 2, [TOP_BOTTOM, LEFT_RIGHT]),
+        # the array scores order the two the other way round
+        "one ulp, inverted": (MIRRORED, 2, [BY_Y, BY_X, [1 - x for x in BY_Y]]),
+        # relabelled duplicates of the best and of a worse partition
+        "K = 3 relabelled": (blobs[:18], 3, [
+            relabelled(np.roll(blob_labels[:18], 1), 3, 0), relabelled(blob_labels[:18], 3, 1),
+            relabelled(blob_labels[:18], 3, 2), relabelled(np.roll(blob_labels[:18], 1), 3, 3),
+            blob_labels[:18]]),
+        "K = 4 relabelled": (blobs, 4, [
+            relabelled(blob_labels, 4, s) if s % 2 else
+            relabelled(np.roll(blob_labels, s), 4, s) for s in range(6)]),
+        "one column": (line, 2, [
+            (np.arange(14) >= 6).astype(int), (np.arange(14) < 7).astype(int),
+            (np.arange(14) >= 7).astype(int), (np.arange(14) >= 8).astype(int)]),
+        # every partition scores 0
+        "constant": (np.full((5, 3), 2.5), 2, [[0, 1, 1, 1, 1], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0]]),
+        # the centres overflow, so every score is infinite
+        "infinite": (np.array([[1.7e308, 0.0], [1.7e308, 1.0], [1.6e308, 0.0]]), 2,
+                     [[0, 0, 1], [0, 1, 0], [1, 1, 0]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(near_tie_cases()))
+@pytest.mark.parametrize("step", (1, 1000))
+def test_winner_of_near_ties_matches_reference(case, step):
+    points, K, labels = near_tie_cases()[case]
+    labels = np.asarray(labels, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # alone, and between two other problems of the same shape
+        want = [reference_winner(points[::-1], labels, K),
+                reference_winner(points, labels, K),
+                reference_winner(points, labels[::-1], K)]
+        got = _winners(points[None], labels[None], K, step)
+        stacked = _winners(np.stack([points[::-1], points, points]),
+                           np.stack([labels, labels, labels[::-1]]), K, step)
+    assert got.tolist() == want[1:2]
+    assert stacked.tolist() == want
+
+
+@pytest.mark.parametrize("case", ("mirror", "one ulp", "K = 3 relabelled",
+                                  "K = 4 relabelled", "one column", "constant"))
+def test_near_tie_points_match_reference(case):
+    points, K, _ = near_tie_cases()[case]
+    for seed in range(20):
+        assert_same_partition(kmeans(points, K, restarts=10, seed=seed),
+                              reference_kmeans(points, K, restarts=10, seed=seed))
+
+
+@pytest.mark.slow
+def test_few_exact_scores_per_dolphins_pass(monkeypatch):
+    # one dolphins-small pass scored 5434 partitions with _wcss when every
+    # distinct partition got an exact score; the array scores leave only
+    # near ties to it
+    calls = []
+    real = spectral._wcss
+
+    def counting(points, labels, K):
+        calls.append(K)
+        return real(points, labels, K)
+
+    monkeypatch.setattr(spectral, "_wcss", counting)
+    inputs, cfg = dolphins_small()
+    for data, labels in inputs:
+        pcut.generate_candidates(data, cfg, labels)
+    assert len(calls) < 100
 
 
 def crescent_clusters():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+import pcut
 from pcut.construction import knn_graph
+from pcut.engine import DEFAULT_CONNECTIVITY_LAMBDAS
+from pcut.errors import ParameterError
+from pcut.experiments import load_bundled_network
 from pcut.graph import WeightedGraph
-from pcut.ranking import common_neighbor_counts, eta_similarity, rank
+from pcut.ranking import (common_neighbor_counts, eta_connectivity,
+                          eta_similarity, rank)
 from pcut.construction import baseline_graph
-from pcut.rmd import (degree_target, modulated_k, rmd_connectivity_graph,
-                      rmd_similarity_graph)
+from pcut.rmd import (degree_target, modulated_k, rmd_connectivity_family,
+                      rmd_connectivity_graph, rmd_similarity_graph)
 from pcut.synth import gaussian_mixture
 
 
@@ -112,3 +117,67 @@ class TestConnectivityRmd:
         for lam in (0.0, 0.5):
             for d in range(1, 9):
                 assert degree_target(d, lam, 0.01) >= 1
+
+
+def per_lambda_connectivity_graph(g, ranks, lam, counts=None):
+    """rmd_connectivity_graph as it was before the marking order was computed
+    once per input, kept verbatim apart from its name and docstring."""
+    if not 0.0 <= lam <= 1.0:
+        raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
+    ranks = np.asarray(ranks, dtype=float)
+    if ranks.size != g.n:
+        raise ParameterError(f"got {ranks.size} ranks for {g.n} nodes")
+    u, v, w = g.edge_arrays()
+    s = common_neighbor_counts(g) if counts is None else np.asarray(counts)
+    if s.shape != u.shape:
+        raise ParameterError(f"got counts of shape {s.shape} for {g.m} edges")
+    # every edge once from each endpoint, grouped by node, then by count
+    # and neighbor id; node v marks the first `drop[v]` of its group
+    node = np.concatenate([u, v])
+    order = np.lexsort((np.concatenate([v, u]), np.concatenate([s, s]), node))
+    deg = np.bincount(node, minlength=g.n)
+    drop = deg - degree_target(deg, lam, ranks.reshape(-1))
+    slot = np.arange(order.size) - (np.cumsum(deg) - deg)[node[order]]
+    half = np.zeros(2 * g.m, dtype=bool)
+    half[order[slot < drop[node[order]]]] = True
+    marked = half[:g.m] | half[g.m:]
+    return WeightedGraph.from_arrays(g.n, u[~marked], v[~marked], w[~marked])
+
+
+@pytest.fixture(scope="module")
+def networks():
+    sbm, _ = pcut.sbm_generate(pcut.SbmSpec(n=800, alpha=0.1, p1=0.1, q=0.01,
+                                            equalize_degrees=True, seed=3))
+    return {"karate": load_bundled_network("karate")[0],
+            "dolphins": load_bundled_network("dolphins")[0],
+            "sbm800": sbm}
+
+
+@pytest.mark.parametrize("name", ("karate", "dolphins", "sbm800"))
+def test_marking_order_once_per_input_matches_per_lambda(networks, name):
+    g = networks[name]
+    counts = common_neighbor_counts(g)
+    ranks = rank(eta_connectivity(g, counts=counts))
+    graph_at = rmd_connectivity_family(g, ranks, counts=counts)
+    for lam in DEFAULT_CONNECTIVITY_LAMBDAS + (0.0, 1.0):
+        want = per_lambda_connectivity_graph(g, ranks, lam, counts=counts)
+        for got in (graph_at(lam), rmd_connectivity_graph(g, ranks, lam, counts=counts),
+                    rmd_connectivity_graph(g, ranks, lam)):
+            assert got.n == want.n
+            for a, b in zip(got.edge_arrays(), want.edge_arrays()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g: rmd_connectivity_graph(g, np.full(3, 0.5), 1.5),
+     r"^lambda must lie in \[0, 1\], got 1\.5$"),
+    (lambda g: rmd_connectivity_family(g, np.full(g.n, 0.5))(-0.1),
+     r"^lambda must lie in \[0, 1\], got -0\.1$"),
+    (lambda g: rmd_connectivity_family(g, np.full(3, 0.5)),
+     r"^got 3 ranks for 8 nodes$"),
+    (lambda g: rmd_connectivity_family(g, np.full(g.n, 0.5), counts=np.zeros(2)),
+     r"^got counts of shape \(2,\) for 13 edges$"),
+])
+def test_connectivity_family_checks_its_inputs(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call(two_cliques_bridge())

@@ -5,7 +5,7 @@ import pytest
 
 from pcut.errors import InputError, NumericError, ParameterError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
-from pcut.spectral import (SpectralConfig, _wcss, kmeans, laplacian,
+from pcut.spectral import (SpectralConfig, _fix_signs, _wcss, kmeans, laplacian,
                            normalized_bundle, smallest_eigenvectors,
                            spectral_clustering, sweep_from_bundle)
 
@@ -83,6 +83,23 @@ class TestSmallestEigenvectors:
         for j in range(3):
             nz = np.flatnonzero(np.abs(vecs[:, j]) > 1e-12)
             assert vecs[nz[0], j] >= 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sign_rule_matches_column_loop(self, seed):
+        # tiny leading entries of either sign, all-tiny and all-zero columns,
+        # and -0.0: the array rule flips the same columns as the loop it
+        # replaced, bit for bit
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(6, 40)) * rng.choice([1.0, 1e-13, 0.0], size=(6, 40))
+        vecs[:, :3] = [[-1e-13, 1e-13, -0.0]] * 6
+        want = vecs.copy()
+        for j in range(want.shape[1]):
+            col = want[:, j]
+            nz = np.flatnonzero(np.abs(col) > 1e-12)
+            if nz.size and col[nz[0]] < 0:
+                want[:, j] = -col
+        _fix_signs(vecs)
+        assert vecs.tobytes() == want.tobytes()
 
     def test_nonsymmetric_rejected(self):
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
