@@ -9,7 +9,7 @@ smallest cut on a fixed baseline graph.
 __version__ = "0.1.0"
 
 from .construction import (FeatureMatrix, avg_knn_distance, baseline_graph,
-                           knn_graph, pairwise_distances)
+                           knn_graph)
 from .engine import CandidateCut, PCutConfig, generate_candidates, pcut_select
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
                      NumericError, ParameterError, PCutError)
@@ -33,7 +33,7 @@ __all__ = [
     "cut_value", "eta_connectivity", "eta_similarity", "gaussian_mixture",
     "generate_candidates",
     "grf_propagate", "grf_scores", "hungarian_match", "kmeans", "knn_graph",
-    "laplacian", "modulated_k", "pairwise_distances", "pcut_select", "rank",
+    "laplacian", "modulated_k", "pcut_select", "rank",
     "rmd_connectivity_graph", "rmd_similarity_graph", "sbm_bounds",
     "sbm_generate", "smallest_eigenvectors", "spectral_clustering",
 ]

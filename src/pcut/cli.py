@@ -79,12 +79,24 @@ def _candidate_record(c) -> dict:
     }
 
 
-def _parse_float_list(text):
-    return tuple(float(x) for x in text.split(",") if x.strip())
+# sigma = 2^j d_k, and 2^j is a normal float for these j
+_SIGMA_EXPONENTS = range(sys.float_info.min_exp - 1, sys.float_info.max_exp)
 
 
-def _parse_int_list(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_list(flag: str, text: str, kind=float, allowed=None) -> tuple:
+    """The comma-separated entries of a flag's value as `kind`, each in
+    `allowed` if given; InputError names the flag and any bad entry."""
+    values = []
+    for entry in filter(None, (x.strip() for x in text.split(","))):
+        try:
+            values.append(kind(entry))
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise InputError(f"{flag} entry {entry!r} is not {what}") from None
+        if allowed is not None and values[-1] not in allowed:
+            raise InputError(f"{flag} entry {entry!r} lies outside "
+                             f"[{allowed[0]}, {allowed[-1]}]")
+    return tuple(values)
 
 
 def _build_config(args, task: str, modality: str, K: int) -> PCutConfig:
@@ -95,11 +107,12 @@ def _build_config(args, task: str, modality: str, K: int) -> PCutConfig:
         if args.extra_variants:
             kwargs["extra_variants"] = tuple(args.extra_variants.split(","))
     if args.lambda_grid:
-        kwargs["lambda_grid"] = _parse_float_list(args.lambda_grid)
+        kwargs["lambda_grid"] = _parse_list("--lambda-grid", args.lambda_grid)
     if args.k_grid:
-        kwargs["k_grid"] = _parse_int_list(args.k_grid)
+        kwargs["k_grid"] = _parse_list("--k-grid", args.k_grid, int)
     if args.sigma_exponents:
-        kwargs["sigma_exponents"] = _parse_int_list(args.sigma_exponents)
+        kwargs["sigma_exponents"] = _parse_list(
+            "--sigma-exponents", args.sigma_exponents, int, _SIGMA_EXPONENTS)
     return PCutConfig(**kwargs)
 
 
@@ -192,9 +205,9 @@ def cmd_synth(args) -> int:
         write_labels_csv(out / "truth.csv", truth.assignment)
         print(f"wrote {g.n} nodes, {g.m} edges (blocks {spec.n1}/{spec.n2})")
     elif args.kind == "mixture":
-        means = [_parse_float_list(m) for m in args.mean]
-        covs = [_parse_float_list(c) for c in args.cov]
-        weights = _parse_float_list(args.weights)
+        means = [_parse_list("--mean", m) for m in args.mean]
+        covs = [_parse_list("--cov", c) for c in args.cov]
+        weights = _parse_list("--weights", args.weights)
         if not (len(means) == len(covs) == len(weights)):
             raise InputError("--weights, --mean, and --cov counts must agree")
         f, labels = gaussian_mixture(args.n, list(zip(weights, means, covs)),

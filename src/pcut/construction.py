@@ -7,8 +7,8 @@ matrix, one stable argsort) and memoised on the instance. At the sample
 sizes this package targets (a few thousand points) brute force is faster
 and simpler than a spatial index, and the stable order keeps results
 exactly reproducible. Only the table's first columns are kept, so no n x n
-array outlives the call that builds it. Edge sets and RBF weights are array
-expressions over the table.
+array outlives the call that builds it; no other code forms a distance
+matrix. Edge sets and RBF weights are array expressions over the table.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ def as_features(f) -> FeatureMatrix:
     if isinstance(f, FeatureMatrix):
         return f
     return FeatureMatrix(np.asarray(f))
-
-
-def pairwise_distances(f) -> np.ndarray:
-    """Euclidean distance matrix with an exactly zero diagonal."""
-    f = as_features(f)
-    d = cdist(f.x, f.x)
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 def rbf_weight(dist, sigma: float):

@@ -119,18 +119,10 @@ class WeightedGraph:
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node (sum of incident weights)."""
         if self._degrees is None:
-            d = np.zeros(self.n)
-            np.add.at(d, self._u, self._w)
-            np.add.at(d, self._v, self._w)
-            self._degrees = d
+            self._degrees = np.bincount(
+                np.concatenate([self._u, self._v]),
+                weights=np.concatenate([self._w, self._w]), minlength=self.n)
         return self._degrees.copy()
-
-    def adjacency(self) -> np.ndarray:
-        """Boolean adjacency matrix (weights ignored)."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        a[self._u, self._v] = True
-        a[self._v, self._u] = True
-        return a
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""

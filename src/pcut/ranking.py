@@ -5,18 +5,18 @@ least as large as its own (self included), so the densest node has rank 1
 and ranks live in {1/n, ..., 1} when surrogates are distinct.
 
 Feature surrogates are distances: the mean distance to each node's
-neighbors in a baseline graph (`eta_similarity`, used by the pipeline) and a
-weighted average of nearest-neighbor order statistics
-(`weighted_nn_surrogate`, used to check rank consistency). Network
-surrogates come from common-neighbor counts, held as one count per
-edge in edge order (`common_neighbor_counts`), never as an n x n matrix.
+neighbors in a baseline graph, one distance per edge (`eta_similarity`,
+used by the pipeline), and a weighted average of order statistics from the
+neighbor table (`weighted_nn_surrogate`, used to check rank consistency).
+Network surrogates come from common-neighbor counts, one per edge in edge
+order (`common_neighbor_counts`). None of them forms an n x n array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .construction import as_features, pairwise_distances
+from .construction import as_features
 from .errors import InputError, ParameterError
 from .graph import WeightedGraph
 
@@ -24,18 +24,25 @@ from .graph import WeightedGraph
 def eta_similarity(f, g0: WeightedGraph) -> np.ndarray:
     """Mean Euclidean distance to each node's neighbors in the baseline g0.
 
-    Smaller means denser.
+    Smaller means denser. Each node adds its edge distances in ascending
+    order, so nodes with equal multisets of distances get equal eta.
     """
     f = as_features(f)
     if g0.n != f.n:
         raise InputError(f"baseline graph has {g0.n} nodes, features have {f.n}")
-    dist = pairwise_distances(f)
-    adj = g0.adjacency()
-    counts = adj.sum(axis=1)
+    u, v, _ = g0.edge_arrays()
+    ends = np.concatenate([u, v])
+    counts = np.bincount(ends, minlength=f.n)
     if (counts == 0).any():
         isolated = np.flatnonzero(counts == 0).tolist()
         raise InputError(f"baseline graph has isolated nodes {isolated}")
-    return (dist * adj).sum(axis=1) / counts
+    # summed in coordinate order as scipy does: the neighbor table's bits
+    sq = np.zeros(u.size)
+    for column in f.x.T:
+        sq += (column[u] - column[v]) ** 2
+    dist = np.tile(np.sqrt(sq), 2)
+    order = np.lexsort((dist, ends))
+    return np.bincount(ends[order], weights=dist[order], minlength=f.n) / counts
 
 
 def weighted_nn_surrogate(f, l: int, dim: int) -> np.ndarray:
@@ -51,11 +58,9 @@ def weighted_nn_surrogate(f, l: int, dim: int) -> np.ndarray:
     if not 1 <= l <= f.n - 1 or l + l // 2 > f.n - 1:
         raise ParameterError(
             f"window l={l} needs l + floor(l/2) <= n-1 = {f.n - 1}")
-    d = pairwise_distances(f)
-    np.fill_diagonal(d, np.inf)
-    profile = np.sort(d, axis=1)
     lo = l - (l - 1) // 2
     hi = l + l // 2
+    profile = f.neighbors(hi)[1]  # row v: v's distances to the others, ascending
     i_vals = np.arange(lo, hi + 1)
     w = (l / i_vals) ** (1.0 / dim)
     return (profile[:, i_vals - 1] * w[None, :]).sum(axis=1) / l

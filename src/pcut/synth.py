@@ -92,13 +92,9 @@ def sbm_generate(spec: SbmSpec):
     rng = stream(spec.seed, "sbm-edges")
     block = np.zeros(n, dtype=np.int64)
     block[n1:] = 1
-    prob = np.empty((n, n))
-    prob[:n1, :n1] = spec.p1
-    prob[n1:, n1:] = p2
-    prob[:n1, n1:] = spec.q
-    prob[n1:, :n1] = spec.q
+    prob = np.array([[spec.p1, spec.q], [spec.q, p2]])
     iu, iv = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < prob[iu, iv]
+    keep = rng.random(iu.size) < prob[block[iu], block[iv]]
     perm = stream(spec.seed, "sbm-relabel").permutation(n)
     truth = np.empty(n, dtype=np.int64)
     truth[perm] = block

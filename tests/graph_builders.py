@@ -1,4 +1,8 @@
-"""Graph constructors that only the tests use.
+"""Dense references and graph constructors that only the tests use.
+
+`pairwise_distances` and `adjacency` are the n x n views of a feature set
+and a graph; the package works on neighbor tables and edge arrays, and the
+tests compare it against these dense forms.
 
 The epsilon-neighbourhood graph and the complete RBF graph are the other two
 classic similarity graphs (von Luxburg 2007). The pipeline builds only k-NN
@@ -7,10 +11,28 @@ and weight conventions on them.
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from pcut.construction import _weighted_graph, as_features, pairwise_distances
+from pcut.construction import _weighted_graph, as_features
 from pcut.errors import ParameterError
 from pcut.graph import WeightedGraph
+
+
+def pairwise_distances(f) -> np.ndarray:
+    """Euclidean distance matrix with an exactly zero diagonal."""
+    f = as_features(f)
+    d = cdist(f.x, f.x)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def adjacency(g: WeightedGraph) -> np.ndarray:
+    """Boolean adjacency matrix of g (weights ignored)."""
+    u, v, _ = g.edge_arrays()
+    a = np.zeros((g.n, g.n), dtype=bool)
+    a[u, v] = True
+    a[v, u] = True
+    return a
 
 
 def epsilon_graph(f, eps: float, weights: str = "unit", sigma: float | None = None) -> WeightedGraph:

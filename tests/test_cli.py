@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +290,68 @@ class TestExperimentCommand:
         path = out / "sbm-lambda-sweep.json"
         assert capsys.readouterr().out == f"wrote {path}\n"
         assert json.loads(path.read_text())["summary"] == summary
+
+
+
+class TestNumberLists:
+    @pytest.mark.parametrize("argv, message", [
+        (["--k-grid", "a"], "--k-grid entry 'a' is not an integer"),
+        (["--k-grid", "5,1.5"], "--k-grid entry '1.5' is not an integer"),
+        (["--lambda-grid", "0.5,x"], "--lambda-grid entry 'x' is not a number"),
+        (["--sigma-exponents", "1.5"], "--sigma-exponents entry '1.5' is not an integer"),
+        # 2.0 ** 2000 overflows a float, and 2.0 ** -2000 is 0
+        (["--sigma-exponents", "0,2000"],
+         "--sigma-exponents entry '2000' lies outside [-1022, 1023]"),
+        (["--sigma-exponents", "-2000"],
+         "--sigma-exponents entry '-2000' lies outside [-1022, 1023]"),
+    ])
+    def test_bad_grid_entry_exits_1(self, argv, message, tmp_path, capsys):
+        f, _ = gaussian_mixture(
+            40, [(0.5, [0.0, 0.0], [0.1, 0.1]), (0.5, [3.0, 3.0], [0.1, 0.1])],
+            seed=1)
+        write_features_csv(tmp_path / "f.csv", f.x)
+        out = tmp_path / "out"
+        code = main(["cluster", "--features", str(tmp_path / "f.csv"), "--k", "2",
+                     "--out", str(out), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--weights", "0.5,a"], "--weights entry 'a' is not a number"),
+        (["--weights", "1", "--mean", "0,b", "--cov", "1,1"],
+         "--mean entry 'b' is not a number"),
+        (["--weights", "1", "--mean", "0,0", "--cov", "c"],
+         "--cov entry 'c' is not a number"),
+    ])
+    def test_bad_mixture_entry_exits_1(self, argv, message, tmp_path, capsys):
+        code = main(["synth", "mixture", "--out", str(tmp_path / "s"), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    def test_console_run_prints_no_traceback(self, tmp_path):
+        # the in-process calls above would raise; this checks what a shell sees
+        features = tmp_path / "f.csv"
+        write_features_csv(features, np.arange(20.0).reshape(10, 2))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "pcut.cli", "cluster", "--features", str(features),
+             "--k", "2", "--out", str(tmp_path / "out"), "--sigma-exponents", "2000"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stderr == ("error: --sigma-exponents entry '2000' lies "
+                                 "outside [-1022, 1023]\n")
+
+    def test_spaces_and_empty_entries_are_skipped(self):
+        assert cli._parse_list("--k-grid", " 5, ,10,", int) == (5, 10)
+        assert cli._parse_list("--sigma-exponents", "-1022,1023", int,
+                               cli._SIGMA_EXPONENTS) == (-1022, 1023)
 
 
 # every option each subcommand reads, and no other: 43 settable values

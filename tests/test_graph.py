@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from pcut.construction import knn_graph
 from pcut.errors import InputError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
+
+from graph_builders import adjacency
 
 
 def path3():
@@ -86,6 +89,26 @@ class TestDegrees:
         g = WeightedGraph(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees().tolist() == [3.0, 1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_identical_to_scattered_sums(self, seed):
+        # weighted RBF k-NN graphs, against the np.add.at form: every node
+        # adds its edges as lower end, then as upper end, in edge order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 200))
+        x = rng.normal(size=(n, 2)) * rng.uniform(0.01, 10.0)
+        k = int(rng.integers(1, min(n, 30)))
+        g = knn_graph(x, k, weights="rbf", sigma=float(rng.uniform(0.1, 3.0)))
+        u, v, w = g.edge_arrays()
+        expected = np.zeros(g.n)
+        np.add.at(expected, u, w)
+        np.add.at(expected, v, w)
+        assert np.array_equal(g.degrees(), expected)
+
+    def test_returns_a_copy(self):
+        g = triangle()
+        g.degrees()[0] = 9.0
+        assert g.degrees().tolist() == [2.0, 2.0, 2.0]
+
 
 class TestComponents:
     def test_complete_graph_one_component(self):
@@ -119,7 +142,7 @@ class TestComponents:
 def _dfs_components(g):
     """Reference labelling: DFS from each unlabeled node in id order."""
     label = -np.ones(g.n, dtype=np.int64)
-    adj = g.adjacency()
+    adj = adjacency(g)
     comp = 0
     for start in range(g.n):
         if label[start] >= 0:

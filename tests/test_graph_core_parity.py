@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import pcut
 from pcut import engine
 from pcut.construction import (as_features, avg_knn_distance, baseline_graph,
-                               construction_k0, knn_graph, pairwise_distances,
-                               rbf_weight, selection_k0)
+                               construction_k0, knn_graph, rbf_weight,
+                               selection_k0)
 from pcut.errors import InputError, ParameterError
 from pcut.experiments import load_bundled_network
 from pcut.graph import WeightedGraph
@@ -28,6 +28,7 @@ from pcut.rmd import rmd_connectivity_graph, rmd_similarity_graph
 
 from benchmark_instances import (candidate_bytes, crescents_ssl, dolphins_small,
                                  sbm_net)
+from graph_builders import adjacency, pairwise_distances
 
 
 # -- references ------------------------------------------------------------
@@ -151,13 +152,13 @@ def reference_baseline_graph(f, kind="construction"):
 
 def reference_dense_counts(g):
     """The dense s(v, w) matrix of common-neighbor counts."""
-    a = g.adjacency().astype(np.float64)
+    a = adjacency(g).astype(np.float64)
     return np.rint(a @ a).astype(np.int64)
 
 
 def reference_eta_connectivity(g, counts=None):
     """Dense eta_connectivity; `counts` (the engine passes them) is unused."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     s = reference_dense_counts(g)
     deg = adj.sum(axis=1)
     eta = np.zeros(g.n)
@@ -175,7 +176,7 @@ def reference_degree_target(d, lam, r):
 
 def reference_connectivity_graph(g, ranks, lam, counts=None):
     """The per-node marking loop over the dense counts; `counts` is unused."""
-    adj = g.adjacency()
+    adj = adjacency(g)
     s = reference_dense_counts(g)
     deg = adj.sum(axis=1)
     marked = set()

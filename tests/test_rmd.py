@@ -14,6 +14,8 @@ from pcut.rmd import (degree_target, modulated_k, rmd_connectivity_family,
                       rmd_connectivity_graph, rmd_similarity_graph)
 from pcut.synth import gaussian_mixture
 
+from graph_builders import adjacency
+
 
 class TestModulatedK:
     def test_lambda_one_identity(self):
@@ -89,7 +91,7 @@ class TestConnectivityRmd:
         assert s[bridge] == 0  # bridge endpoints share nobody
         ranks = np.full(g.n, 0.25)  # every node drops edges at lambda=0.5
         out = rmd_connectivity_graph(g, ranks, 0.5)
-        assert not out.adjacency()[3, 4]
+        assert not adjacency(out)[3, 4]
 
     def test_never_adds_edges(self):
         g = two_cliques_bridge(5)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,25 @@ class TestSbmGenerate:
         assert list(g1.edges()) == list(g2.edges())
         g3, _ = sbm_generate(SbmSpec(n=60, alpha=0.2, p1=0.4, q=0.05, seed=6))
         assert list(g1.edges()) != list(g3.edges())
+
+    @pytest.mark.parametrize("spec, m, digest", [
+        (dict(n=200, alpha=0.2, p1=0.3, q=0.02, equalize_degrees=True, seed=1),
+         1508, "aabbfa89886a4a732aae1ea0434b95ff3340de76cd76d026f1ddb9fc687516a0"),
+        (dict(n=500, alpha=0.1, p1=0.2, p2=0.05, q=0.03, equalize_degrees=False,
+              seed=7),
+         6028, "2600946c51b68692f67e302f3a9bedfee0377d0d25b6375ba5593a63993b6cea"),
+        (dict(n=1500, alpha=0.05, p1=0.0667, q=0.01, equalize_degrees=True,
+              seed=0),
+         14316, "856ee38706d741a25f5aa0aa01c65a60df7a6b7ed7d73e439382b54329a6a4b1"),
+    ])
+    def test_golden_edge_arrays(self, spec, m, digest):
+        # recorded when each pair's probability was read from an n x n matrix
+        g, truth = sbm_generate(SbmSpec(**spec))
+        h = hashlib.sha256()
+        for a in (*g.edge_arrays(), truth.assignment):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert g.m == m
+        assert h.hexdigest() == digest
 
     def test_invalid_equalized_p2(self):
         # odd n at alpha = 0.5 rounds the first block larger, pushing the
