@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -373,9 +374,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value is a comma-separated number list
+_LIST_FLAGS = ("--lambda-grid", "--k-grid", "--sigma-exponents", "--weights",
+               "--mean", "--cov")
+
+
+def _join_number_lists(argv: list) -> list:
+    """argv with each list flag that is followed by a value starting with a
+    minus sign and a digit, such as ``--sigma-exponents -3,0``, joined into
+    ``--sigma-exponents=-3,0``; argparse would read the value as an option."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in _LIST_FLAGS
+                and re.match(r"-\.?\d", token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_number_lists(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except NoFeasiblePartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)

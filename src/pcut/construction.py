@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError, ParameterError
 from .graph import WeightedGraph
@@ -60,6 +59,8 @@ class FeatureMatrix:
                 f"width must satisfy 1 <= width < n, got {width}, n={self.n}")
         table = self.__dict__.get("_neighbors")
         if table is None or table[0].shape[1] < width:
+            # imported here, so that network runs do not load scipy.spatial
+            from scipy.spatial.distance import cdist
             d = cdist(self.x, self.x)
             np.fill_diagonal(d, np.inf)
             ids = np.argsort(d, axis=1, kind="stable")[:, :width].copy()

@@ -21,6 +21,14 @@ density ranks, the baselines and, for feature inputs, the neighbor table;
 for networks, the common-neighbor counts and the order in which each node
 marks its edges (rmd_connectivity_family), so that a connectivity grid
 point only counts how many edges each node drops.
+
+Work that does not change with sigma is done once per sigma run, the
+consecutive grid points that share (lambda, k): the edge selection
+(rmd_similarity_edges), which each sigma only weighs. An ssl chunk is one
+sigma run, and its consecutive graphs with equal edge arrays share one
+harmonic pattern (propagation.HarmonicPattern): the component check and
+the layout of the sparse system. A clustering chunk selects once per
+sigma run, or part of one, that it holds.
 """
 
 from __future__ import annotations
@@ -32,15 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import (FeatureMatrix, as_features, avg_knn_distance,
-                           baseline_graph, construction_k0, selection_k0)
+from .construction import (FeatureMatrix, _weighted_graph, as_features,
+                           avg_knn_distance, baseline_graph, construction_k0,
+                           selection_k0)
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
                      NumericError, ParameterError)
 from .graph import Partition, WeightedGraph, cut_value
-from .propagation import LabelSet, grf_propagate
+from .propagation import LabelSet, grf_propagate, shared_patterns
 from .ranking import (common_neighbor_counts, eta_connectivity,
                       eta_similarity, rank)
-from .rmd import rmd_connectivity_family, rmd_similarity_graph
+from .rmd import rmd_connectivity_family, rmd_similarity_edges
 from .spectral import (VARIANTS, _embedding_rows, check_kmeans_counts,
                        kmeans_batch, kmeans_batch_problems, spectral_bundle,
                        sweep_from_bundle)
@@ -189,24 +198,31 @@ def _flavors(cfg):
     return flavors
 
 
-def _ssl_chunk(chunk, build_graph, labels):
-    """One harmonic partition per grid point of `chunk`, when it solves."""
+def _ssl_chunk(chunk, build_graphs, labels):
+    """One harmonic partition per grid point of `chunk`, when it solves.
+
+    Consecutive graphs with equal edge arrays share one harmonic pattern
+    (propagation.shared_patterns): one component check and one layout of
+    the sparse system.
+    """
     out = []
-    for grid_index, params in chunk:
-        graph = build_graph(params)
-        produced = []
-        try:
-            produced.append(("grf", grf_propagate(graph, labels)))
-        except (ConstraintError, NumericError):
-            # a modulated graph may strand unlabeled components, or tie them
-            # to the labels only by weights below rounding so the harmonic
-            # system is singular; that grid point contributes no candidate
-            pass
-        out.append((grid_index, params, produced))
+    with shared_patterns():
+        for (grid_index, params), graph in zip(chunk, build_graphs(
+                [params for _, params in chunk])):
+            produced = []
+            try:
+                produced.append(("grf", grf_propagate(graph, labels)))
+            except (ConstraintError, NumericError):
+                # a modulated graph may strand unlabeled components, or tie
+                # them to the labels only by weights below rounding so the
+                # harmonic system is singular; that grid point contributes
+                # no candidate
+                pass
+            out.append((grid_index, params, produced))
     return out
 
 
-def _clustering_chunk(chunk, build_graph, cfg, min_side):
+def _clustering_chunk(chunk, build_graphs, cfg, min_side):
     """The partitions of a run of consecutive grid points, in two phases.
 
     First each grid point builds its graph and embeds it once per flavour,
@@ -220,8 +236,8 @@ def _clustering_chunk(chunk, build_graph, cfg, min_side):
     flavors = _flavors(cfg)
     embeddings, seeds, swept = [], [], []
     edges = None
-    for grid_index, params in chunk:
-        graph = build_graph(params)
+    for (grid_index, params), graph in zip(chunk, build_graphs(
+            [params for _, params in chunk])):
         if edges is None or not all(map(np.array_equal, graph.edge_arrays(), edges)):
             edges = graph.edge_arrays()
             bundle = functools.cache(functools.partial(spectral_bundle, graph, cfg.K))
@@ -246,24 +262,26 @@ def _clustering_chunk(chunk, build_graph, cfg, min_side):
     return out
 
 
-def _run_grid(points, build_graph, cfg, labels, n, baseline):
+def _run_grid(points, build_graphs, cfg, labels, n, baseline):
     """Candidates of every grid point, in grid order.
 
-    The grid is cut into chunks of consecutive points. A clustering chunk
-    holds as many points as fit their k-means problems into one batch
-    (kmeans_batch_problems); an ssl chunk is one point. With workers > 1
-    the chunks run on a thread pool.
+    `build_graphs` maps a list of grid points to an iterator of their
+    graphs. The grid is cut into chunks of consecutive points. A clustering
+    chunk holds as many points as fit their k-means problems into one batch
+    (kmeans_batch_problems); an ssl chunk is one sigma run, the points that
+    share (lambda, k). With workers > 1 the chunks run on a thread pool.
     """
+    indexed = list(enumerate(points))
     if cfg.task == "ssl":
-        size = 1
-        job = functools.partial(_ssl_chunk, build_graph=build_graph, labels=labels)
+        job = functools.partial(_ssl_chunk, build_graphs=build_graphs, labels=labels)
+        chunks = [list(run) for _, run in
+                  itertools.groupby(indexed, key=lambda item: item[1][:2])]
     else:
         size = max(1, kmeans_batch_problems(n, cfg.K, cfg.K, cfg.kmeans_restarts)
                    // len(_flavors(cfg)))
-        job = functools.partial(_clustering_chunk, build_graph=build_graph,
+        job = functools.partial(_clustering_chunk, build_graphs=build_graphs,
                                 cfg=cfg, min_side=cfg.delta * n)
-    indexed = list(enumerate(points))
-    chunks = [indexed[lo:lo + size] for lo in range(0, len(indexed), size)]
+        chunks = [indexed[lo:lo + size] for lo in range(0, len(indexed), size)]
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(job, chunks))
@@ -292,9 +310,13 @@ def _similarity_candidates(f: FeatureMatrix, cfg, labels):
     points = [(lam, k, (2.0 ** j) * dk[k])
               for lam, k, j in itertools.product(cfg.lambdas(), ks, cfg.sigma_exps())]
 
-    def build(params):
-        lam, k, sigma = params
-        return rmd_similarity_graph(f, ranks, lam, k, weights="rbf", sigma=sigma)
+    def build(params_list):
+        # one edge selection per run of points that share (lambda, k); each
+        # sigma only weighs it
+        for (lam, k), run in itertools.groupby(params_list, key=lambda p: p[:2]):
+            u, v, dist = rmd_similarity_edges(f, ranks, lam, k)
+            for _, _, sigma in run:
+                yield _weighted_graph(f.n, u, v, dist, "rbf", sigma)
 
     return _run_grid(points, build, cfg, labels, f.n, selection)
 
@@ -305,9 +327,8 @@ def _connectivity_candidates(g: WeightedGraph, cfg, labels):
     points = [(lam, None, None) for lam in cfg.lambdas()]
     graph_at = rmd_connectivity_family(g, ranks, counts=counts)
 
-    def build(params):
-        lam, _, _ = params
-        return graph_at(lam)
+    def build(params_list):
+        return (graph_at(lam) for lam, _, _ in params_list)
 
     return _run_grid(points, build, cfg, labels, g.n, g)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 from .graph import Partition
@@ -25,6 +24,10 @@ def hungarian_match(cost: np.ndarray):
     equal-cost optima the lexicographically smallest assignment (by row
     order) is returned. Gives (columns per original row, total cost).
     """
+    # imported here: a network run never scores against a truth, and scipy's
+    # optimize package is a large share of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.size == 0:
         raise InputError("cost must be a nonempty 2-D matrix")

@@ -2,14 +2,15 @@
 
 Similarity networks rebuild a k-NN graph with a per-node neighbor count
 scaled by the node's density rank, selected from the feature matrix's
-neighbor table. Connectivity networks only remove edges: each node marks
-its weakest ties (fewest common neighbors) down to a rank-scaled degree
-target, and an edge is dropped when either endpoint marks it. The
-common-neighbor counts are one entry per edge, in edge order
-(`ranking.common_neighbor_counts`). The order in which a node marks its
-edges does not depend on lambda: `rmd_connectivity_family` sorts it once
-per input graph, and each lambda then sets only how many edges every node
-marks.
+neighbor table. Lambda and k choose the edges (rmd_similarity_edges);
+sigma only sets their RBF weights. Connectivity networks only remove
+edges: each node marks its weakest ties (fewest common neighbors) down to
+a rank-scaled degree target, and an edge is dropped when either endpoint
+marks it. The common-neighbor counts are one entry per edge, in edge
+order (`ranking.common_neighbor_counts`). The order in which a node marks
+its edges does not depend on lambda: `rmd_connectivity_family` sorts it
+once per input graph, and each lambda then sets only how many edges every
+node marks.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ def modulated_k(k: int, lam: float, r, n_nodes: int):
     return _scalar_or_array(np.maximum(1, np.minimum(_round_half_up(raw), n_nodes - 1)))
 
 
+def rmd_similarity_edges(f, ranks, lam: float, k: int):
+    """(u, v, dist) of the modulated k-NN graph, u < v sorted by (u, v).
+
+    Node v selects its modulated_k nearest neighbors from the neighbor
+    table. The selection does not depend on sigma, so a sigma run weighs
+    one selection (rmd_similarity_graph's weighting, construction's
+    _weighted_graph) at each of its bandwidths.
+    """
+    f = as_features(f)
+    ranks = np.asarray(ranks, dtype=float)
+    if ranks.size != f.n:
+        raise ParameterError(f"got {ranks.size} ranks for {f.n} samples")
+    k_per_node = modulated_k(k, lam, ranks.reshape(-1), f.n)
+    ids, dists = f.neighbors(int(k_per_node.max()))
+    return _edges_from_selection(ids, dists, k_per_node)
+
+
 def rmd_similarity_graph(f, ranks, lam: float, k: int,
                          weights: str = "unit",
                          sigma: float | None = None) -> WeightedGraph:
@@ -60,13 +78,8 @@ def rmd_similarity_graph(f, ranks, lam: float, k: int,
     With lam = 1 (or all ranks 0.5) this reproduces knn_graph bit for bit.
     """
     f = as_features(f)
-    ranks = np.asarray(ranks, dtype=float)
-    if ranks.size != f.n:
-        raise ParameterError(f"got {ranks.size} ranks for {f.n} samples")
-    k_per_node = modulated_k(k, lam, ranks.reshape(-1), f.n)
-    ids, dists = f.neighbors(int(k_per_node.max()))
-    u, v, dist = _edges_from_selection(ids, dists, k_per_node)
-    return _weighted_graph(f.n, u, v, dist, weights, sigma)
+    return _weighted_graph(f.n, *rmd_similarity_edges(f, ranks, lam, k),
+                           weights, sigma)
 
 
 def degree_target(d, lam: float, r):

@@ -1,9 +1,11 @@
 """The engine's grid loop as it was before grid chunks: a reference for tests.
 
 _partitions_for_graph and _run_grid below are kept from that engine; only
-_run_grid's signature and its _candidate call follow the current engine's.
-Every grid point computes its own bundles and calls kmeans once per
-flavour. Patching pcut.engine._run_grid with this _run_grid makes
+_run_grid's signature, its graph builder call and its _candidate call
+follow the current engine's. Every grid point builds its own graph,
+computes its own bundles and calls kmeans once per flavour, and the ssl
+task solves each graph with reference_propagation's grf_propagate.
+Patching pcut.engine._run_grid with this _run_grid makes
 generate_candidates run the old loop; a test may also patch this module's
 _partitions_for_graph to go back one more step.
 """
@@ -13,9 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from pcut.engine import _candidate, mix_seed
 from pcut.errors import ConstraintError, NumericError
-from pcut.propagation import grf_propagate
 from pcut.spectral import (_embedding_rows, kmeans, spectral_bundle,
                            sweep_from_bundle)
+
+from reference_propagation import grf_propagate
 
 
 def _partitions_for_graph(graph, cfg, labels, cand_seed, min_side):
@@ -52,12 +55,12 @@ def _partitions_for_graph(graph, cfg, labels, cand_seed, min_side):
     return out
 
 
-def _run_grid(points, build_graph, cfg, labels, n, baseline):
+def _run_grid(points, build_graphs, cfg, labels, n, baseline):
     min_side = cfg.delta * n
 
     def job(item):
         grid_index, params = item
-        graph = build_graph(params)
+        [graph] = build_graphs([params])
         cand_seed = mix_seed(cfg.seed, grid_index)
         produced = _partitions_for_graph(graph, cfg, labels, cand_seed, min_side)
         return grid_index, params, produced

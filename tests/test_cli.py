@@ -9,10 +9,11 @@ import pytest
 
 from pcut import cli
 from pcut.cli import main
+from pcut.errors import InputError
 from pcut.io import read_labels_csv, write_edge_list, write_features_csv, write_labels_csv
 from pcut.graph import WeightedGraph
 from pcut.reports import validate_report
-from pcut.synth import gaussian_mixture
+from pcut.synth import crescent_dataset, gaussian_mixture
 
 
 def two_cliques_file(tmp_path, size=6):
@@ -347,6 +348,72 @@ class TestNumberLists:
         assert result.returncode == 1
         assert result.stderr == ("error: --sigma-exponents entry '2000' lies "
                                  "outside [-1022, 1023]\n")
+
+    @pytest.mark.parametrize("flag, value, key, want", [
+        ("--lambda-grid", "-0.5,1", "lambda_grid", (-0.5, 1.0)),
+        ("--k-grid", "-5,10", "k_grid", (-5, 10)),
+        ("--sigma-exponents", "-3,0", "sigma_exponents", (-3, 0)),
+        ("--sigma-exponents", "-.5", "sigma_exponents", None),
+    ])
+    @pytest.mark.parametrize("form", ("space", "equals"))
+    def test_grid_list_may_start_with_a_minus(self, flag, value, key, want, form):
+        # in both forms the whole value reaches the list parser
+        argv = [flag, value] if form == "space" else [f"{flag}={value}"]
+        args = cli.build_parser().parse_args(cli._join_number_lists(
+            ["cluster", "--features", "f.csv", "--k", "2", *argv]))
+        assert getattr(args, key) == value
+        if want is None:
+            with pytest.raises(InputError, match="is not an integer"):
+                cli._parse_list(flag, value, int)
+        else:
+            kind = float if flag == "--lambda-grid" else int
+            assert cli._parse_list(flag, value, kind) == want
+
+    @pytest.mark.parametrize("form", ("space", "equals"))
+    def test_ssl_run_takes_negative_sigma_exponents(self, form, tmp_path):
+        f, truth = crescent_dataset(60, seed=2)
+        write_features_csv(tmp_path / "f.csv", f.x)
+        seeds = {int(v): c for c in range(3)
+                 for v in np.flatnonzero(truth == c)[:3]}
+        write_labels_csv(tmp_path / "seeds.csv", seeds)
+        argv = (["--sigma-exponents", "-1,0"] if form == "space"
+                else ["--sigma-exponents=-1,0"])
+        out = tmp_path / "out"
+        assert main(["ssl", "--features", str(tmp_path / "f.csv"), "--labels",
+                     str(tmp_path / "seeds.csv"), "--k-grid", "5", "--lambda-grid",
+                     "1", "--out", str(out), *argv]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["manifest"]["config"]["sigma_exponents"] == [-1, 0]
+
+    @pytest.mark.parametrize("form", ("space", "equals"))
+    def test_mixture_mean_may_start_with_a_minus(self, form, tmp_path):
+        mean = ["--mean", "-1,2"] if form == "space" else ["--mean=-1,2"]
+        cov = ["--cov", "1,1"] if form == "space" else ["--cov=1,1"]
+        out = tmp_path / "s"
+        assert main(["synth", "mixture", "--n", "30", "--weights", "1",
+                     *mean, *cov, "--seed", "3", "--out", str(out)]) == 0
+        x = np.loadtxt(out / "features.csv", delimiter=",")
+        assert abs(x[:, 0].mean() + 1.0) < 1.0 and abs(x[:, 1].mean() - 2.0) < 1.0
+
+    def test_console_run_takes_a_negative_list(self, tmp_path):
+        # sys.argv goes through the same joining as main's argv
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "pcut.cli", "synth", "mixture", "--n", "20",
+             "--weights", "1", "--mean", "-1,-2", "--cov", "1,1",
+             "--out", str(tmp_path / "s")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "wrote 20 samples in 2 dimensions\n"
+
+    def test_only_list_flags_are_joined(self):
+        argv = ["cluster", "--seed", "-3", "--k-grid", "-1", "--sigma-exponents",
+                "--delta", "--lambda-grid", "x"]
+        assert cli._join_number_lists(argv) == [
+            "cluster", "--seed", "-3", "--k-grid=-1", "--sigma-exponents",
+            "--delta", "--lambda-grid", "x"]
 
     def test_spaces_and_empty_entries_are_skipped(self):
         assert cli._parse_list("--k-grid", " 5, ,10,", int) == (5, 10)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -359,3 +363,23 @@ class TestMixSeed:
         assert mix_seed(42, 7) == mix_seed(42, 7)
         seen = {mix_seed(42, i) for i in range(100)}
         assert len(seen) == 100
+
+
+def test_network_run_loads_neither_cdist_nor_the_assignment_solver():
+    # scipy.spatial serves only feature inputs and scipy.optimize only
+    # scoring against a truth, so importing pcut and running a connectivity
+    # grid loads neither
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "\n".join((
+        "import sys, pcut",
+        "unused = ('scipy.spatial.distance', 'scipy.optimize')",
+        "print([m for m in unused if m in sys.modules])",
+        "g, _ = pcut.sbm_generate(pcut.SbmSpec(n=120, alpha=0.3, p1=0.3, q=0.02, seed=1))",
+        "pcut.generate_candidates(g, pcut.PCutConfig(K=2, modality='connectivity'))",
+        "print([m for m in unused if m in sys.modules])",
+    ))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    assert result.stdout == "[]\n[]\n"

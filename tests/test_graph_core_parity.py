@@ -128,6 +128,25 @@ def reference_similarity_graph(f, ranks, lam, k, weights="unit", sigma=None):
     return reference_graph(f.n, reference_weighted_edges(pairs, dist, weights, sigma))
 
 
+def reference_similarity_edges(f, ranks, lam, k):
+    """reference_similarity_graph's selection as (u, v, dist) arrays."""
+    f = as_features(f)
+    dist = pairwise_distances(f)
+    k_per_node = np.array([reference_modulated_k(k, lam, float(r), f.n)
+                           for r in np.asarray(ranks, dtype=float)])
+    pairs = np.array(reference_selection(dist, k_per_node), dtype=np.int64)
+    u, v = pairs.reshape(-1, 2).T
+    return u, v, dist[u, v]
+
+
+def reference_weighted_graph(n, u, v, dist, weights, sigma):
+    """reference_similarity_graph's weighting of a selection."""
+    pairs = list(zip(u.tolist(), v.tolist()))
+    # a dict keyed by pair answers dist[u, v] as the distance matrix does
+    by_pair = dict(zip(pairs, dist.tolist()))
+    return reference_graph(n, reference_weighted_edges(pairs, by_pair, weights, sigma))
+
+
 def reference_knn_graph(f, k, weights="unit", sigma=None):
     f = as_features(f)
     dist = pairwise_distances(f)
@@ -357,7 +376,8 @@ def test_connectivity_marking_matches_dense_loop(networks, name):
 # engine names that generate_candidates calls, with the replaced code
 REFERENCE_BUILDERS = (("baseline_graph", reference_baseline_graph),
                       ("avg_knn_distance", reference_avg_knn_distance),
-                      ("rmd_similarity_graph", reference_similarity_graph),
+                      ("rmd_similarity_edges", reference_similarity_edges),
+                      ("_weighted_graph", reference_weighted_graph),
                       ("common_neighbor_counts", reference_dense_counts),
                       ("eta_connectivity", reference_eta_connectivity),
                       ("rmd_connectivity_family", reference_connectivity_family))
