@@ -26,9 +26,9 @@ Work that does not change with sigma is done once per sigma run, the
 consecutive grid points that share (lambda, k): the edge selection
 (rmd_similarity_edges), which each sigma only weighs. An ssl chunk is one
 sigma run, and its consecutive graphs with equal edge arrays share one
-harmonic pattern (propagation.HarmonicPattern): the component check and
-the layout of the sparse system. A clustering chunk selects once per
-sigma run, or part of one, that it holds.
+harmonic pattern (propagation.HarmonicPattern): the component check, the
+band order of the unlabeled nodes and the band layout of L_uu. A
+clustering chunk selects once per sigma run, or part of one, that it holds.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def _ssl_chunk(chunk, build_graphs, labels):
     """One harmonic partition per grid point of `chunk`, when it solves.
 
     Consecutive graphs with equal edge arrays share one harmonic pattern
-    (propagation.shared_patterns): one component check and one layout of
-    the sparse system.
+    (propagation.shared_patterns): one component check, one band order
+    and one band layout.
     """
     out = []
     with shared_patterns():

@@ -5,28 +5,24 @@ unlabeled node's score is the weighted mean of its neighbors' scores.
 
 The system is solved in one of two ways:
 
-- **Sparse LU** (SuperLU `splu` in symmetric mode, no pivoting off the
-  diagonal, minimum-degree ordering of the symmetric pattern). L_uu is
-  built as a CSC matrix from the edge arrays and W_ul F_l from the edges
-  that join unlabeled to labeled nodes, so no n x n array is formed.
-- **Dense Cholesky** of L_uu taken from the n x n weight matrix, when
-  - the unlabeled subgraph is dense: 2 m_uu / n_u^2 > SPARSE_MAX_DENSITY,
-    where m_uu counts its edges. On crescent k-NN RBF graphs (one BLAS
-    thread) the LU fill then costs more than dense Cholesky: at n = 600
-    the two break even near density 0.11, at n = 1200 near 0.12-0.13;
-  - or the LU is ill-conditioned: its smallest U pivot is below
-    PIVOT_RATIO_MIN times its largest (zero and negative pivots included),
-    or SuperLU reports an exactly singular factor.
-  Dense Cholesky failure raises NumericError, so whether a system is
-  singular is decided by the dense path alone.
+- **Banded Cholesky** (LAPACK pbtrf through scipy's cholesky_banded) of
+  L_uu in the reverse Cuthill-McKee order of the unlabeled subgraph, which
+  gives the nearly tree-like k-NN systems a narrow band. The band and
+  W_ul F_l are scattered from the edge arrays, so no n x n array is formed.
+- **Dense Cholesky** of L_uu taken from the n x n weight matrix, when the
+  banded factorisation finds L_uu not positive definite, or when its
+  smallest LDL^T pivot (the squared diagonal of the factor) is below
+  PIVOT_RATIO_MIN times its largest. Dense Cholesky failure raises
+  NumericError, so whether a system is singular is decided by the dense
+  path alone.
 
 What does not depend on the edge weights, a HarmonicPattern holds: the
-component check's outcome, the unlabeled nodes, the density decision and
-the sparse layout. Inside shared_patterns(), consecutive graphs with equal
-edge arrays, such as the graphs of one sigma run, share one pattern.
+component check's outcome, the unlabeled nodes, their band order and the
+band layout. Inside shared_patterns(), consecutive graphs with equal edge
+arrays, such as the graphs of one sigma run, share one pattern.
 
 The two paths agree to rounding, not to the bit: on crescent grids the
-scores differed by at most 2e-9 and every argmax matched
+scores differed by at most 3e-9 and every argmax matched
 (tests/test_grf_parity.py).
 """
 
@@ -38,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConstraintError, InputError, NumericError
 from .graph import Partition, WeightedGraph, connected_components
 
-SPARSE_MAX_DENSITY = 0.1
 PIVOT_RATIO_MIN = 1e-8
 
 
@@ -114,12 +109,13 @@ class HarmonicPattern:
     """The part of a harmonic system that the edge weights do not change.
 
     It depends on the node count, the edge pattern (u, v) and the labels:
-    the component check's outcome, the unlabeled nodes, the density
-    decision and, for the sparse path, the CSC layout of L_uu and the bins
-    of W_ul F_l. Along a sigma run only the RBF weights change, so its
-    graphs share one pattern until an edge whose weight underflows drops
-    out. scores() then takes the weights through degrees, CSC data, SuperLU
-    and the pivot gate to the solve, or to the dense fallback.
+    the component check's outcome, the unlabeled nodes, their reverse
+    Cuthill-McKee order and its bandwidth, each inner edge's slot in the
+    lower band of L_uu, and the bins of W_ul F_l. Along a sigma run only the
+    RBF weights change, so its graphs share one pattern until an edge whose
+    weight underflows drops out. scores() then takes the weights through the
+    band, its Cholesky factor and the pivot gate to the solve, or to the
+    dense fallback.
     """
 
     def __init__(self, g: WeightedGraph, labels: LabelSet):
@@ -130,37 +126,36 @@ class HarmonicPattern:
         self.u, self.v, _ = g.edge_arrays()
         self.stranded = _stranded_component(g, nodes)
         self.unlabeled = np.setdiff1d(np.arange(g.n), nodes)
-        self.sparse = (self.stranded is None and self.unlabeled.size > 0
-                       and self._sparse_layout())
+        if self.stranded is None and self.unlabeled.size:
+            self._band_layout()
 
     def fits(self, g: WeightedGraph, labels: LabelSet) -> bool:
         u, v, _ = g.edge_arrays()
         return (g.n == self.n and labels == self.labels
                 and np.array_equal(u, self.u) and np.array_equal(v, self.v))
 
-    def _sparse_layout(self) -> bool:
-        """Lay out the sparse system; False when the unlabeled subgraph is
-        too dense for it."""
+    def _band_layout(self):
+        """Order the unlabeled nodes by reverse Cuthill-McKee and lay out
+        the band of L_uu and the bins of W_ul F_l in that order."""
         u, v, nu = self.u, self.v, self.unlabeled.size
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[self.unlabeled] = np.arange(nu)
+        inner = np.flatnonzero((pos[u] >= 0) & (pos[v] >= 0))
+        a, b = pos[u[inner]], pos[v[inner]]
+        adjacency = sparse.csr_matrix(
+            (np.ones(2 * inner.size), (np.concatenate((a, b)), np.concatenate((b, a)))),
+            shape=(nu, nu))
+        perm = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+        # from here on pos is each unlabeled node's place in the RCM order
+        self.order = self.unlabeled[perm]
+        pos[self.order] = np.arange(nu)
         pu, pv = pos[u], pos[v]
-        inner = np.flatnonzero((pu >= 0) & (pv >= 0))
-        if 2 * inner.size > SPARSE_MAX_DENSITY * nu * nu:
-            return False
-        # L_uu holds -w of each inner edge in both halves and the degrees on
-        # the diagonal; CSC stores them by column, then row, which is the
-        # order scipy's COO conversion gives, so SuperLU sees the same arrays.
-        # No (row, column) pair repeats, so any sort of the keys gives it
-        diag = np.arange(nu)
-        rows = np.concatenate((pu[inner], pv[inner], diag))
-        cols = np.concatenate((pv[inner], pu[inner], diag))
-        order = np.argsort(cols * nu + rows)
-        self.indices = rows[order].astype(np.int32)
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(cols, minlength=nu)))).astype(np.int32)
-        # each stored entry's position in concatenate((-w, degrees[unlabeled]))
-        self.source = np.concatenate((inner, inner, u.size + diag))[order]
+        # an inner edge's -w sits at (row, col), row > col, of the lower
+        # band, which holds it at [row - col, col]
+        row, col = np.maximum(pu[inner], pv[inner]), np.minimum(pu[inner], pv[inner])
+        self.inner = inner
+        self.bandwidth = int((row - col).max(initial=0))
+        self.slots = (row - col) * nu + col
         # an edge with one unlabeled end adds its weight to that end's row in
         # the column of the other end's class
         cls = np.full(self.n, -1, dtype=np.int64)
@@ -171,7 +166,6 @@ class HarmonicPattern:
         self.cross = np.concatenate((cross_u, cross_v))
         self.bins = np.concatenate((pu[cross_u] * K + cls[v[cross_u]],
                                     pv[cross_v] * K + cls[u[cross_v]]))
-        return True
 
     def scores(self, g: WeightedGraph) -> np.ndarray:
         """grf_scores of g, a graph that fits this pattern."""
@@ -181,32 +175,35 @@ class HarmonicPattern:
         scores = np.zeros((g.n, self.labels.K))
         scores[nodes, self.labels.classes()] = 1.0
         if self.unlabeled.size:
-            solved = self._sparse_harmonic(g) if self.sparse else None
+            solved = self._banded_harmonic(g)
             if solved is None:
-                solved = _dense_harmonic(g, nodes, self.unlabeled, scores)
-            scores[self.unlabeled] = solved
+                scores[self.unlabeled] = _dense_harmonic(g, nodes, self.unlabeled, scores)
+            else:
+                scores[self.order] = solved
         return scores
 
-    def _sparse_harmonic(self, g: WeightedGraph):
-        """F_u by sparse LU, or None when the LU is ill-conditioned.
+    def _banded_harmonic(self, g: WeightedGraph):
+        """F_u in RCM order by banded Cholesky, or None when L_uu is not
+        positive definite or its factor is ill-conditioned.
 
-        The factor is dropped on return, before a dense fallback allocates.
+        The band is dropped on return, before a dense fallback allocates.
         """
         _, _, w = g.edge_arrays()
         nu, K = self.unlabeled.size, self.labels.K
-        data = np.concatenate((-w, g.degrees()[self.unlabeled]))[self.source]
-        l_uu = sparse.csc_matrix((data, self.indices, self.indptr), shape=(nu, nu))
+        band = np.zeros((self.bandwidth + 1, nu))
+        band[0] = g.degrees()[self.order]
+        band.flat[self.slots] = -w[self.inner]
         rhs = np.bincount(self.bins, weights=w[self.cross],
                           minlength=nu * K).reshape(nu, K)
         try:
-            lu = splu(l_uu, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-        except RuntimeError:  # exactly singular factor
+            factor = cholesky_banded(band, overwrite_ab=True, lower=True)
+        except np.linalg.LinAlgError:  # not positive definite
             return None
-        pivots = lu.U.diagonal()
-        if not (pivots.max() > 0.0 and pivots.min() >= PIVOT_RATIO_MIN * pivots.max()):
+        # the LDL^T pivots are the squares of the factor's diagonal
+        pivots = factor[0] ** 2
+        if pivots.min() < PIVOT_RATIO_MIN * pivots.max():
             return None
-        return lu.solve(rhs)
+        return cho_solve_banded((factor, True), rhs)
 
 
 def _stranded_component(g: WeightedGraph, nodes) -> str | None:

@@ -1,11 +1,12 @@
-"""The harmonic solve as it was before edge patterns were shared: a
-reference for tests.
+"""The harmonic solve as it was before edge patterns were shared and before
+the banded Cholesky: a reference for tests.
 
 grf_scores, _sparse_harmonic, _dense_harmonic and grf_propagate below are
 kept verbatim from that propagation module: every call checks components
-and lays out the sparse system from its own graph. reference_engine
-propagates with them, so the per-point reference loop does not share the
-package's harmonic patterns.
+and lays out its own SuperLU system, and unlabeled subgraphs denser than
+SPARSE_MAX_DENSITY go to dense Cholesky. reference_engine propagates with
+them, so the per-point reference loop shares none of the package's
+harmonic patterns and none of its solver.
 """
 
 import numpy as np
@@ -15,7 +16,13 @@ from scipy.sparse.linalg import splu
 
 from pcut.errors import ConstraintError, InputError, NumericError
 from pcut.graph import Partition, WeightedGraph, connected_components
-from pcut.propagation import PIVOT_RATIO_MIN, SPARSE_MAX_DENSITY, LabelSet
+from pcut.propagation import PIVOT_RATIO_MIN, LabelSet
+
+# the density above which the replaced module solved dense
+SPARSE_MAX_DENSITY = 0.1
+# largest score difference allowed between the package's banded Cholesky
+# and these references or dense Cholesky; the crescent grids stay under 3e-9
+SCORE_TOL = 1e-8
 
 
 def grf_scores(g: WeightedGraph, labels: LabelSet) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 `reference_grf_scores` is the replaced grf_scores, kept verbatim apart from
 its name: the dense n x n weight matrix and a dense Cholesky of L_uu at
-every call. The sparse LU gives other bits, so scores are compared to
-SCORE_TOL; argmax labels and the exceptions raised (the grid points the
-engine skips) must be identical.
+every call. The banded Cholesky in reverse Cuthill-McKee order gives other
+bits, so scores are compared to SCORE_TOL; argmax labels and the exceptions
+raised (the grid points the engine skips) must be identical.
 """
 
 import dataclasses
@@ -28,10 +28,7 @@ from pcut.rmd import rmd_similarity_graph
 from pcut.synth import stream
 
 from benchmark_instances import candidate_bytes, crescents_ssl
-
-# largest score difference allowed where the sparse path runs; the crescent
-# grids below stay under 2e-9
-SCORE_TOL = 1e-8
+from reference_propagation import SCORE_TOL
 
 
 # -- reference -------------------------------------------------------------
@@ -137,29 +134,27 @@ def labelled_graphs(draw):
     return g, LabelSet(labeled=tuple(zip(nodes, classes)), K=K)
 
 
-@pytest.mark.parametrize("max_density", (propagation.SPARSE_MAX_DENSITY, 1.0))
+@pytest.mark.parametrize("scale", (0.1, 1.0))
 @settings(max_examples=300, deadline=None)
 @given(case=labelled_graphs())
-def test_small_graphs_match_reference(max_density, case):
-    # the density cutoff only picks the faster solver; at 1.0 every system
-    # that passes the pivot gate is solved sparse
+def test_small_graphs_match_reference(scale, case):
+    # harmonic scores do not change under a common weight scale, and the
+    # pivot gate is a ratio of pivots, so a scaled graph must match too
     g, labels = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "SPARSE_MAX_DENSITY", max_density)
-        assert_same_outcome(g, labels)
+    u, v, w = g.edge_arrays()
+    assert_same_outcome(WeightedGraph.from_arrays(g.n, u, v, scale * w), labels)
 
 
 @pytest.mark.parametrize("tie", (1e-12, 1e-80))
 def test_ill_conditioned_system_goes_dense(tie):
-    # nodes 2 and 3 reach the labels only by weight `tie`. At 1e-12 SuperLU
-    # factors L_uu with a last pivot near 1e-12 and the pivot gate sends it to
-    # the dense path; at 1e-80 SuperLU finds the factor exactly singular and
-    # dense Cholesky raises, as before
+    # nodes 2 and 3 reach the labels only by weight `tie`. At 1e-12 the
+    # banded Cholesky factors L_uu with a smallest pivot near 1e-12 and the
+    # pivot gate sends it to the dense path; at 1e-80 the banded Cholesky
+    # finds L_uu not positive definite and dense Cholesky raises, as before
     g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, tie), (2, 3, 1.0), (3, 4, tie),
                           (4, 5, 1.0)])
     labels = LabelSet(labeled=((0, 0), (5, 1)), K=2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "SPARSE_MAX_DENSITY", 1.0)
         calls = count_dense_calls(mp)
         new = outcome(grf_scores, g, labels)
     assert calls == [1]
@@ -173,15 +168,16 @@ def test_ill_conditioned_system_goes_dense(tie):
 # -- crescent grids ----------------------------------------------------------
 
 
-def crescent_points(instance, n=600):
-    """(features, labels, ranks) as in the crescents-ssl benchmark instances."""
+def crescent_points(instance, n=600, k_max=30):
+    """(features, labels, ranks) as in the crescents-ssl benchmark instances,
+    with a neighbour table wide enough for k up to k_max."""
     f, truth = pcut.crescent_dataset(n=n, noise=0.08, seed=instance)
     rng = stream(instance, "perfbench-ssl-seeds")
     seeds = []
     for c in range(3):
         seeds += [(int(v), c) for v in
                   rng.choice(np.flatnonzero(truth == c), 5, replace=False)]
-    f.neighbors(60)  # widest search below: modulated_k <= 2k
+    f.neighbors(min(2 * k_max, n - 1))  # the widest search: modulated_k <= 2k
     ranks = rank(eta_similarity(f, baseline_graph(f, "construction")))
     return f, LabelSet(tuple(sorted(seeds)), K=3), ranks
 
@@ -201,9 +197,29 @@ def test_crescent_grid_matches_reference(instance):
         solved += ok
         if ok and calls:
             dense.append(j)
-    # the sparse path carries the grid; only the smallest bandwidths fall back
+    # the banded path carries the grid; only the smallest bandwidths fall back
     assert solved - len(dense) >= 30
     assert set(dense) <= {-3, -2}
+
+
+# the density cutoff of the replaced solver sent these graphs dense; the
+# banded path solves every one of them
+@pytest.mark.parametrize("n", (300, 600))
+def test_dense_graphs_match_reference(n):
+    f, labels, ranks = crescent_points(0, n, k_max=150)
+    nu = n - len(labels.labeled)
+    solved = 0
+    for lam, k, j in itertools.product((0.0, 0.6, 1.0), (60, 100, 150), range(-3, 4)):
+        g = rmd_similarity_graph(f, ranks, lam, k, weights="rbf",
+                                 sigma=2.0 ** j * avg_knn_distance(f, k))
+        u, v, _ = g.edge_arrays()
+        m_uu = np.count_nonzero(~np.isin(u, labels.nodes()) & ~np.isin(v, labels.nodes()))
+        assert 2 * m_uu > 0.1 * nu * nu  # the old cutoff
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_dense_calls(mp)
+            solved += assert_same_outcome(g, labels)
+        assert calls == []
+    assert solved == 63
 
 
 def test_sparse_path_allocates_no_n_by_n_array(monkeypatch):
@@ -213,7 +229,7 @@ def test_sparse_path_allocates_no_n_by_n_array(monkeypatch):
     g.degrees()
 
     def no_dense_weights(self):
-        raise AssertionError("the sparse path built the dense weight matrix")
+        raise AssertionError("the banded path built the dense weight matrix")
 
     monkeypatch.setattr(WeightedGraph, "weight_matrix", no_dense_weights)
     tracemalloc.start()

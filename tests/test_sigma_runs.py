@@ -3,11 +3,13 @@
 Along the grid, lambda and k choose the edges and sigma only weighs them,
 so the engine selects the edges once per (lambda, k) and weighs that
 selection at each sigma. Consecutive graphs whose edge arrays are equal
-share one harmonic pattern: one component check and one layout of the
-sparse system. These tests check that the shared work gives the bits of
-the per-point work: graphs against rmd_similarity_graph, scores against
-the per-call solver kept in reference_propagation, and whole ssl runs
-against the per-point loop of reference_engine.
+share one harmonic pattern: one component check, one band order and one
+band layout. These tests check that the shared work gives the bits of the
+per-point work: graphs against rmd_similarity_graph, and scores against a
+pattern built for each graph alone. Scores also match the per-call SuperLU
+solver kept in reference_propagation to SCORE_TOL, with the same argmax,
+and whole ssl runs give the candidates of the per-point loop of
+reference_engine.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from pcut.rmd import rmd_similarity_edges, rmd_similarity_graph
 import reference_engine
 import reference_propagation
 from benchmark_instances import candidate_bytes, crescents_ssl
+from reference_propagation import SCORE_TOL
 
 
 def engine_graphs(data, cfg, labels=None):
@@ -127,10 +130,14 @@ class TestSharedPatterns:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "HarmonicPattern", counting_pattern(built))
             with shared_patterns():
-                for g in graphs:
-                    want = reference_propagation.grf_scores(g, OUTLIER_LABELS)
-                    assert grf_scores(g, OUTLIER_LABELS).tobytes() == want.tobytes()
+                shared = [grf_scores(g, OUTLIER_LABELS) for g in graphs]
         assert len(built) == 9
+        for g, got in zip(graphs, shared):
+            # outside the block every call builds its own pattern
+            assert got.tobytes() == grf_scores(g, OUTLIER_LABELS).tobytes()
+            want = reference_propagation.grf_scores(g, OUTLIER_LABELS)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=SCORE_TOL)
+            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
     def test_no_sharing_outside_the_block(self, monkeypatch):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -176,6 +183,16 @@ class TestSharedPatterns:
                             lambda g: checks.append(1) or components(g))
         pcut.generate_candidates(data, cfg, labels)
         assert len(checks) == pattern_count(graphs, points) == 12
+
+    def test_one_band_ordering_per_edge_pattern(self, monkeypatch):
+        [(data, labels)], cfg = crescents_ssl(0)
+        orderings = []
+        rcm = propagation.reverse_cuthill_mckee
+        monkeypatch.setattr(propagation, "reverse_cuthill_mckee",
+                            lambda *a, **kw: orderings.append(1) or rcm(*a, **kw))
+        candidates = pcut.generate_candidates(data, cfg, labels)
+        assert len(candidates) == 72
+        assert len(orderings) == 12
 
 
 # -- whole runs against the per-point loop -----------------------------------
