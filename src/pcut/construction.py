@@ -3,12 +3,16 @@
 Every nearest-neighbor search reads one neighbor table per FeatureMatrix
 (`FeatureMatrix.neighbors`): each node's nearest other nodes in stable
 distance order with their distances, found by brute force (one distance
-matrix, one stable argsort) and memoised on the instance. At the sample
-sizes this package targets (a few thousand points) brute force is faster
-and simpler than a spatial index, and the stable order keeps results
-exactly reproducible. Only the table's first columns are kept, so no n x n
-array outlives the call that builds it; no other code forms a distance
-matrix. Edge sets and RBF weights are array expressions over the table.
+matrix, one stable argsort) and memoised on the instance. Brute force is
+not the faster search: on a 2-core Xeon with one BLAS thread it took
+19-30 ms at n = 600 (width 60) against 4-6 ms to build and query a
+cKDTree, and 2.2-2.6 s at n = 5000 (width 300) against 0.19 s. It is kept
+because its distances are cdist's bits and its stable order, nearest first
+with ties to the lower id, is the table's contract; ROADMAP item 3 plans a
+tree query that keeps both. Only the table's first columns are kept, so no
+n x n array outlives the call that builds it; no other code forms a
+distance matrix. Edge sets and RBF weights are array expressions over the
+table.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,6 +282,8 @@ def _run_grid(points, build_graphs, cfg, labels, n, baseline):
                                 cfg=cfg, min_side=cfg.delta * n)
         chunks = [indexed[lo:lo + size] for lo in range(0, len(indexed), size)]
     if cfg.workers > 1:
+        # imported here, so that serial runs do not load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(job, chunks))
     else:

@@ -3,6 +3,12 @@
 Graphs are immutable after construction: edges are stored once per unordered
 pair, sorted by node ids, so every downstream computation iterates them in
 the same order and reports are reproducible bit for bit.
+
+Every dense n x n graph matrix of the package (the dense eigensolve's, the
+dense harmonic fallback's, laplacian()'s) comes from _dense_weights, which
+refuses graphs of more than DENSE_MAX_NODES nodes. scipy is imported on
+first use: connected_components loads scipy.sparse and its csgraph, and no
+other function here uses scipy.
 """
 
 from __future__ import annotations
@@ -10,10 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import InputError
+
+# Largest node count for which _dense_weights forms an n x n array, the
+# source of every dense n x n graph matrix in the package (the neighbor
+# table's distance matrix is built elsewhere). One float64 n x n array
+# at this size is 512 MiB. A dense spectral bundle's tracemalloc peak is
+# 3.0 such arrays (96 MiB at n = 2048, K = 3, one BLAS thread), so about
+# 1.5 GiB here.
+DENSE_MAX_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,13 @@ def edge_message(reason: str, n: int, u, v, w) -> str:
 
 
 def _dense_weights(n: int, u, v, w) -> np.ndarray:
-    """Dense symmetric n x n matrix with weight w[i] at (u[i], v[i])."""
+    """Dense symmetric n x n matrix with weight w[i] at (u[i], v[i]).
+
+    Raises InputError, before allocating, when n exceeds DENSE_MAX_NODES.
+    """
+    if n > DENSE_MAX_NODES:
+        raise InputError(f"dense n x n storage for n = {n} nodes exceeds the "
+                         f"limit of DENSE_MAX_NODES = {DENSE_MAX_NODES} nodes")
     m = np.zeros((n, n))
     m[u, v] = w
     m[v, u] = w
@@ -203,11 +221,13 @@ def cut_value(g: WeightedGraph, p: Partition) -> float:
 
 def connected_components(g: WeightedGraph) -> Partition:
     """Label the maximal connected subgraphs, numbered by first occurrence."""
+    # imported here, so that importing pcut does not load scipy.sparse
+    from scipy.sparse import coo_matrix, csgraph
     u, v, w = g.edge_arrays()
-    a = sparse.coo_matrix((w, (u, v)), shape=(g.n, g.n))
+    a = coo_matrix((w, (u, v)), shape=(g.n, g.n))
     # scipy starts a new component at each unlabelled node in id order,
     # which is first-occurrence numbering (pinned by tests/test_graph.py)
-    count, label = _csgraph_components(a, directed=False)
+    count, label = csgraph.connected_components(a, directed=False)
     return Partition(assignment=label, K=count)
 
 

@@ -24,6 +24,10 @@ arrays, such as the graphs of one sigma run, share one pattern.
 The two paths agree to rounding, not to the bit: on crescent grids the
 scores differed by at most 3e-9 and every argmax matched
 (tests/test_grf_parity.py).
+
+scipy is imported on first use: the band layout loads scipy.sparse and its
+reverse Cuthill-McKee, the two solves scipy.linalg's Cholesky routines, and
+the component check (graph.connected_components) csgraph.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConstraintError, InputError, NumericError
 from .graph import Partition, WeightedGraph, connected_components
@@ -137,12 +138,15 @@ class HarmonicPattern:
     def _band_layout(self):
         """Order the unlabeled nodes by reverse Cuthill-McKee and lay out
         the band of L_uu and the bins of W_ul F_l in that order."""
+        # imported here, so that importing pcut does not load scipy.sparse
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
         u, v, nu = self.u, self.v, self.unlabeled.size
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[self.unlabeled] = np.arange(nu)
         inner = np.flatnonzero((pos[u] >= 0) & (pos[v] >= 0))
         a, b = pos[u[inner]], pos[v[inner]]
-        adjacency = sparse.csr_matrix(
+        adjacency = csr_matrix(
             (np.ones(2 * inner.size), (np.concatenate((a, b)), np.concatenate((b, a)))),
             shape=(nu, nu))
         perm = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
@@ -188,6 +192,8 @@ class HarmonicPattern:
 
         The band is dropped on return, before a dense fallback allocates.
         """
+        # imported here, so that importing pcut does not load scipy.linalg
+        from scipy.linalg import cho_solve_banded, cholesky_banded
         _, _, w = g.edge_arrays()
         nu, K = self.unlabeled.size, self.labels.K
         band = np.zeros((self.bandwidth + 1, nu))
@@ -220,6 +226,8 @@ def _stranded_component(g: WeightedGraph, nodes) -> str | None:
 
 def _dense_harmonic(g: WeightedGraph, nodes, unlabeled, scores):
     """F_u by dense Cholesky; NumericError when L_uu is not positive definite."""
+    # imported here, so that importing pcut does not load scipy.linalg
+    from scipy.linalg import cho_factor, cho_solve
     w = g.weight_matrix()
     deg = w.sum(axis=1)
     l_uu = -w[np.ix_(unlabeled, unlabeled)]

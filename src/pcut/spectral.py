@@ -35,6 +35,11 @@ Which eigensolver runs:
   residual check passes. On the K = 3 and 4 crescent grids (n = 600) that
   changed candidates and one selection. K = 2 is exposed to the same miss.
 
+scipy is imported on first use, inside the functions that need it: the
+Lanczos branch of ``spectral_bundle`` (csgraph's component count),
+``normalized_adjacency`` (scipy.sparse) and ``lanczos_eigenvectors``
+(ARPACK). A run whose bundles all stay dense loads none of them.
+
 The dense path forms the n x n Laplacian and calls ``smallest_eigenvectors``.
 Both solvers apply one sign rule, in one array pass over the columns
 (``_fix_signs``): each column's first entry above 1e-12 in magnitude is
@@ -82,9 +87,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components as _csgraph_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InputError, NumericError, ParameterError
 from .graph import Partition, WeightedGraph, _dense_weights
@@ -191,16 +193,18 @@ def smallest_eigenvectors(m: np.ndarray, K: int):
     return vecs, vals
 
 
-def normalized_adjacency(n: int, u, v, w, deg) -> sparse.csr_matrix:
+def normalized_adjacency(n: int, u, v, w, deg):
     """CSR matrix D^{-1/2} W D^{-1/2} of an edge list with positive degrees."""
+    # imported here, so that runs that stay dense do not load scipy.sparse
+    from scipy.sparse import csr_matrix
     inv_sqrt = 1.0 / np.sqrt(deg)
     x = w * inv_sqrt[u] * inv_sqrt[v]
-    return sparse.csr_matrix((np.concatenate([x, x]),
-                              (np.concatenate([u, v]), np.concatenate([v, u]))),
-                             shape=(n, n))
+    return csr_matrix((np.concatenate([x, x]),
+                       (np.concatenate([u, v]), np.concatenate([v, u]))),
+                      shape=(n, n))
 
 
-def lanczos_eigenvectors(a: sparse.spmatrix, K: int):
+def lanczos_eigenvectors(a, K: int):
     """K smallest eigenpairs of L_sym = I - a by Lanczos on a.
 
     `a` is a normalized adjacency (see normalized_adjacency); K must be
@@ -217,6 +221,8 @@ def lanczos_eigenvectors(a: sparse.spmatrix, K: int):
     # not sqrt(deg): that is an exact eigenvector, from which ARPACK restarts
     # with its own process-global random state
     v0 = _rng(_V0_SEED, 0).uniform(-1.0, 1.0, n)
+    # imported here, so that runs that stay dense do not load ARPACK
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     try:
         alpha, vecs = eigsh(a, k=K, which="LA", v0=v0, maxiter=_LANCZOS_MAXITER)
     except ArpackNoConvergence as exc:
@@ -672,8 +678,10 @@ def spectral_bundle(g: WeightedGraph, K: int, normalized: bool):
     keff = min(max(K, 4) if normalized else K, n)
     vecs = None
     if normalized and K == 2 and n > SPARSE_MIN_NODES:
+        # imported here, so that runs that stay dense do not load csgraph
+        from scipy.sparse import csgraph
         a = normalized_adjacency(n, u, v, w, deg)
-        if _csgraph_components(a, directed=False, return_labels=False) == 1:
+        if csgraph.connected_components(a, directed=False, return_labels=False) == 1:
             try:
                 vecs, vals = lanczos_eigenvectors(a, keff)
             except NumericError:

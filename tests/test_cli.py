@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pcut import cli
 from pcut.cli import main
 from pcut.errors import InputError
 from pcut.io import read_labels_csv, write_edge_list, write_features_csv, write_labels_csv
-from pcut.graph import WeightedGraph
+from pcut.graph import DENSE_MAX_NODES, WeightedGraph
 from pcut.reports import validate_report
 from pcut.synth import crescent_dataset, gaussian_mixture
 
@@ -45,6 +46,27 @@ class TestClusterCommand:
         code = main(["cluster", "--graph", str(bad), "--k", "2"])
         assert code == 1
         assert ":2" in capsys.readouterr().err
+
+    def test_too_many_nodes_for_dense_storage_exits_1(self, tmp_path, capsys):
+        # K = 3 runs the dense eigensolve; the guard stops the run before the
+        # n x n array (512 MiB) is allocated
+        n = DENSE_MAX_NODES + 1
+        path = tmp_path / "path.edges"
+        write_edge_list(path, WeightedGraph.from_arrays(n, np.arange(n - 1),
+                                                        np.arange(1, n)))
+        tracemalloc.start()
+        try:
+            code = main(["cluster", "--graph", str(path), "--k", "3",
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: dense n x n storage for n = {n} nodes exceeds the limit "
+            f"of DENSE_MAX_NODES = {DENSE_MAX_NODES} nodes"]
+        assert peak < 8 * n * n // 16
 
     def test_no_feasible_exits_2(self, tmp_path):
         path, _ = two_cliques_file(tmp_path, size=3)

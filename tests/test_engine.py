@@ -365,13 +365,28 @@ class TestMixSeed:
         assert len(seen) == 100
 
 
+def run_python(code, extra_path=()):
+    """Standard output of `code` run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    path = [src, *extra_path, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    return result.stdout
+
+
+LOADED = """
+import sys
+def loaded():
+    return [m for m in sorted(sys.modules)
+            if m.split(".")[0] == "scipy" or m.startswith("concurrent.futures")]
+"""
+
+
 def test_network_run_loads_neither_cdist_nor_the_assignment_solver():
     # scipy.spatial serves only feature inputs and scipy.optimize only
     # scoring against a truth, so importing pcut and running a connectivity
     # grid loads neither
-    src = os.path.dirname(os.path.dirname(engine.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "\n".join((
         "import sys, pcut",
         "unused = ('scipy.spatial.distance', 'scipy.optimize')",
@@ -380,6 +395,80 @@ def test_network_run_loads_neither_cdist_nor_the_assignment_solver():
         "pcut.generate_candidates(g, pcut.PCutConfig(K=2, modality='connectivity'))",
         "print([m for m in unused if m in sys.modules])",
     ))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True, timeout=300)
-    assert result.stdout == "[]\n[]\n"
+    assert run_python(code) == "[]\n[]\n"
+
+
+def test_import_and_dense_network_runs_load_no_scipy():
+    # scipy serves only Lanczos, the harmonic solve, component checks,
+    # feature inputs and scoring against a truth; a network run whose
+    # bundles all stay dense (at most SPARSE_MIN_NODES positive-degree
+    # nodes, or K >= 3) reaches none of them, and a serial run starts no pool
+    code = LOADED + "\n".join((
+        "import pcut",
+        "from pcut.spectral import SPARSE_MIN_NODES",
+        "print(loaded())",
+        "g, _ = pcut.sbm_generate(pcut.SbmSpec(n=SPARSE_MIN_NODES, alpha=0.3, p1=0.3,",
+        "                                      q=0.02, seed=1))",
+        "for K, sweep in ((2, True), (3, False)):",
+        "    cfg = pcut.PCutConfig(K=K, modality='connectivity', sweep_cuts=sweep)",
+        "    assert pcut.generate_candidates(g, cfg)",
+        "    print(loaded())",
+    ))
+    assert run_python(code) == "[]\n[]\n[]\n"
+
+
+# Each case builds `data`, `labels` and `cfg` with WORKERS workers. The sbm graph
+# (n = 400, K = 2) takes its bundles through Lanczos; the ssl run solves its
+# harmonic systems banded, after cdist has loaded scipy.sparse and
+# scipy.linalg on the calling thread.
+POOL_CASES = {
+    "sbm-lanczos": (
+        "g, _ = pcut.sbm_generate(pcut.SbmSpec(n=400, alpha=0.3, p1=0.3, q=0.02,\n"
+        "                                      seed=1))\n"
+        "data, labels = g, None\n"
+        "cfg = pcut.PCutConfig(K=2, modality='connectivity', sweep_cuts=True,\n"
+        "                      workers=WORKERS)\n"),
+    "crescents-ssl": (
+        "f, truth = pcut.crescent_dataset(n=200, seed=1)\n"
+        "data = f.x\n"
+        "labels = pcut.LabelSet(tuple((int(v), c) for c in range(3)\n"
+        "                             for v in np.flatnonzero(truth == c)[:5]), K=3)\n"
+        "cfg = pcut.PCutConfig(K=3, task='ssl', modality='similarity',\n"
+        "                      k_grid=(10, 30), workers=WORKERS)\n"),
+}
+
+
+def test_first_scipy_use_from_pool_threads():
+    # scipy's first import happens inside ThreadPoolExecutor workers here;
+    # the candidates must equal those of serial runs in another process
+    tests = os.path.dirname(os.path.abspath(__file__))
+    run = LOADED + """
+import hashlib
+import numpy as np
+import pcut
+from pcut import engine, spectral
+from benchmark_instances import candidate_bytes
+
+lanczos, grid_entry = [], []
+real_lanczos, real_run_grid = spectral.lanczos_eigenvectors, engine._run_grid
+spectral.lanczos_eigenvectors = lambda *a: lanczos.append(1) or real_lanczos(*a)
+engine._run_grid = lambda *a: grid_entry.append(loaded()) or real_run_grid(*a)
+{case}
+candidates = pcut.generate_candidates(data, cfg, labels)
+print(hashlib.sha256(repr(candidate_bytes(candidates)).encode()).hexdigest())
+print(len(lanczos), "scipy" in grid_entry[0], "scipy.sparse.csgraph" in grid_entry[0],
+      "scipy.sparse.csgraph" in sys.modules)
+"""
+
+    def digest_and_loads(name, workers):
+        code = run.format(case=f"WORKERS = {workers}\n" + POOL_CASES[name])
+        return run_python(code, [tests]).split()
+
+    for name in POOL_CASES:
+        serial = digest_and_loads(name, 1)
+        pooled = digest_and_loads(name, 2)
+        assert pooled[0] == serial[0], name
+        lanczos, scipy_before, csgraph_before, csgraph_after = pooled[1:]
+        assert (int(lanczos) > 0) == (name == "sbm-lanczos"), name
+        assert scipy_before == ("False" if name == "sbm-lanczos" else "True"), name
+        assert (csgraph_before, csgraph_after) == ("False", "True"), name

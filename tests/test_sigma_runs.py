@@ -17,6 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 import pcut
 from pcut import engine, propagation
@@ -187,8 +188,8 @@ class TestSharedPatterns:
     def test_one_band_ordering_per_edge_pattern(self, monkeypatch):
         [(data, labels)], cfg = crescents_ssl(0)
         orderings = []
-        rcm = propagation.reverse_cuthill_mckee
-        monkeypatch.setattr(propagation, "reverse_cuthill_mckee",
+        rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
+        monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee",
                             lambda *a, **kw: orderings.append(1) or rcm(*a, **kw))
         candidates = pcut.generate_candidates(data, cfg, labels)
         assert len(candidates) == 72

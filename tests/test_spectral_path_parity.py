@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 import pcut
 from pcut import engine, spectral
@@ -44,7 +45,7 @@ def reference_normalized_bundle(g, K):
     vecs = None
     if K == 2 and n > SPARSE_MIN_NODES:
         a = normalized_adjacency(n, u, v, w, deg)
-        if spectral._csgraph_components(a, directed=False, return_labels=False) == 1:
+        if csgraph.connected_components(a, directed=False, return_labels=False) == 1:
             try:
                 vecs, vals = spectral.lanczos_eigenvectors(a, keff)
             except NumericError:
@@ -186,7 +187,7 @@ def test_lanczos_misses_a_repeated_eigenvalue(lanczos_calls):
     g = crescent_grid_graph(3, 0.2, 30, -2)
     active, deg, u, v, w = _active_edges(g)
     a = normalized_adjacency(active.size, u, v, w, deg)
-    assert spectral._csgraph_components(a, directed=False, return_labels=False) == 1
+    assert csgraph.connected_components(a, directed=False, return_labels=False) == 1
     ref = reference_normalized_bundle(g, 3)
     assert np.abs(ref["vals"][:2]).max() < 1e-15
     # Lanczos returns one copy and the next eigenpair, within the residual check

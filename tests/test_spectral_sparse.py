@@ -8,6 +8,8 @@ prefix cuts from the reordered dense weight matrix.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import pcut
@@ -168,7 +170,7 @@ def test_nearly_disconnected_graph_takes_dense_path(crescent_grid):
     active, deg, u, v, w = _active_edges(g)
     a = normalized_adjacency(active.size, u, v, w, deg)
     assert active.size > SPARSE_MIN_NODES
-    assert spectral._csgraph_components(a, directed=False, return_labels=False) == 1
+    assert csgraph.connected_components(a, directed=False, return_labels=False) == 1
     with pytest.raises(NumericError, match="converge"):
         lanczos_eigenvectors(a, 4)
     assert_bit_identical(normalized_bundle(g, 2), reference_bundle(g, 2))
@@ -234,13 +236,13 @@ def test_disconnected_active_subgraph_takes_dense_path(lanczos_calls):
 
 def test_residual_failure_takes_dense_path(graphs, monkeypatch):
     g = graphs["sbm800"]
-    real = spectral.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def perturbed(*args, **kwargs):
         vals, vecs = real(*args, **kwargs)
         return vals, vecs + 1e-6
 
-    monkeypatch.setattr(spectral, "eigsh", perturbed)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
     active, deg, u, v, w = _active_edges(g)
     with pytest.raises(NumericError, match="residual"):
         lanczos_eigenvectors(normalized_adjacency(active.size, u, v, w, deg), 4)
@@ -253,5 +255,5 @@ def test_no_convergence_takes_dense_path(graphs, monkeypatch):
     def stalled(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((g.n, 0)))
 
-    monkeypatch.setattr(spectral, "eigsh", stalled)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     assert_bit_identical(normalized_bundle(g, 2), reference_bundle(g, 2))
