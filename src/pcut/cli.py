@@ -106,7 +106,8 @@ def _build_config(args, task: str, modality: str, K: int) -> PCutConfig:
     if task == "clustering":
         kwargs.update(variant=args.variant, sweep_cuts=args.sweep_cuts)
         if args.extra_variants:
-            kwargs["extra_variants"] = tuple(args.extra_variants.split(","))
+            kwargs["extra_variants"] = _parse_list("--extra-variants",
+                                                   args.extra_variants, str)
     if args.lambda_grid:
         kwargs["lambda_grid"] = _parse_list("--lambda-grid", args.lambda_grid)
     if args.k_grid:

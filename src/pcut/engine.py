@@ -25,10 +25,16 @@ point only counts how many edges each node drops.
 Work that does not change with sigma is done once per sigma run, the
 consecutive grid points that share (lambda, k): the edge selection
 (rmd_similarity_edges), which each sigma only weighs. An ssl chunk is one
-sigma run, and its consecutive graphs with equal edge arrays share one
-harmonic pattern (propagation.HarmonicPattern): the component check, the
+sigma run; it keeps one harmonic pattern (propagation.HarmonicPattern) for
+as long as its graphs' edges (u, v) stay equal: the component check, the
 band order of the unlabeled nodes and the band layout of L_uu. A
 clustering chunk selects once per sigma run, or part of one, that it holds.
+Both reuse rules compare a graph with the one before it in the chunk, so
+each pool thread's chunk holds its own reused work.
+
+A grid point whose harmonic system strands a component or is singular
+gives no candidate; when no grid point gives one, generate_candidates
+raises the error of the first skipped point.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .construction import (FeatureMatrix, _weighted_graph, as_features,
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
                      NumericError, ParameterError)
 from .graph import Partition, WeightedGraph, cut_value
-from .propagation import LabelSet, grf_propagate, shared_patterns
+from .propagation import HarmonicPattern, LabelSet
 from .ranking import (common_neighbor_counts, eta_connectivity,
                       eta_similarity, rank)
 from .rmd import rmd_connectivity_family, rmd_similarity_edges
@@ -104,11 +110,9 @@ class PCutConfig:
             raise ParameterError(f"unknown modality {self.modality!r}")
         if not 0.0 < self.delta <= 0.5:
             raise ParameterError(f"delta must lie in (0, 0.5], got {self.delta}")
-        if self.variant not in VARIANTS:
-            raise ParameterError(f"variant must be one of {VARIANTS}")
-        for v in self.extra_variants:
+        for v in (self.variant, *self.extra_variants):
             if v not in VARIANTS:
-                raise ParameterError(f"variant must be one of {VARIANTS}")
+                raise ParameterError(f"variant must be one of {VARIANTS}, got {v!r}")
         check_kmeans_counts(self.kmeans_restarts, self.kmeans_max_iters)
         check_workers(self.workers)
 
@@ -198,26 +202,28 @@ def _flavors(cfg):
 
 
 def _ssl_chunk(chunk, build_graphs, labels):
-    """One harmonic partition per grid point of `chunk`, when it solves.
+    """One harmonic partition per grid point of `chunk`, or the error that
+    skipped the point.
 
-    Consecutive graphs with equal edge arrays share one harmonic pattern
-    (propagation.shared_patterns): one component check, one band order
-    and one band layout.
+    A graph whose edges (u, v) equal those of the grid point before it
+    reuses that point's harmonic pattern (propagation.HarmonicPattern): one
+    component check, one band order and one band layout.
     """
     out = []
-    with shared_patterns():
-        for (grid_index, params), graph in zip(chunk, build_graphs(
-                [params for _, params in chunk])):
-            produced = []
-            try:
-                produced.append(("grf", grf_propagate(graph, labels)))
-            except (ConstraintError, NumericError):
-                # a modulated graph may strand unlabeled components, or tie
-                # them to the labels only by weights below rounding so the
-                # harmonic system is singular; that grid point contributes
-                # no candidate
-                pass
-            out.append((grid_index, params, produced))
+    pattern = None
+    for (grid_index, params), graph in zip(chunk, build_graphs(
+            [params for _, params in chunk])):
+        if pattern is None or not pattern.fits(graph):
+            pattern = HarmonicPattern(graph, labels)
+        try:
+            produced = [("grf", pattern.propagate(graph))]
+        except (ConstraintError, NumericError) as exc:
+            # a modulated graph may strand unlabeled components, or tie
+            # them to the labels only by weights below rounding so the
+            # harmonic system is singular; that grid point contributes
+            # no candidate
+            produced = exc
+        out.append((grid_index, params, produced))
     return out
 
 
@@ -269,6 +275,8 @@ def _run_grid(points, build_graphs, cfg, labels, n, baseline):
     chunk holds as many points as fit their k-means problems into one batch
     (kmeans_batch_problems); an ssl chunk is one sigma run, the points that
     share (lambda, k). With workers > 1 the chunks run on a thread pool.
+    When no grid point gives a candidate, the first skipped point's error
+    is raised.
     """
     indexed = list(enumerate(points))
     if cfg.task == "ssl":
@@ -288,12 +296,17 @@ def _run_grid(points, build_graphs, cfg, labels, n, baseline):
             results = list(pool.map(job, chunks))
     else:
         results = [job(chunk) for chunk in chunks]
-    candidates = []
+    candidates, skips = [], []
     for grid_index, params, produced in itertools.chain.from_iterable(results):
+        if isinstance(produced, Exception):
+            skips.append(produced)
+            continue
         lam, k, sigma = params
         for generator, partition in produced:
             candidates.append(_candidate(partition, lam, k, sigma, generator,
                                          cfg, n, baseline, len(candidates)))
+    if skips and not candidates:
+        raise skips[0]
     return candidates
 
 
@@ -308,6 +321,10 @@ def _similarity_candidates(f: FeatureMatrix, cfg, labels):
     selection = baseline_graph(f, "selection")
     ks = cfg.ks(f.n)
     dk = {k: avg_knn_distance(f, k) for k in ks}
+    for k, d in dk.items():
+        if d <= 0.0:
+            raise InputError(f"every point has at least {k} exact duplicates, "
+                             f"so the bandwidth d_k of k={k} is 0")
     points = [(lam, k, (2.0 ** j) * dk[k])
               for lam, k, j in itertools.product(cfg.lambdas(), ks, cfg.sigma_exps())]
 

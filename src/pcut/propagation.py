@@ -18,8 +18,8 @@ The system is solved in one of two ways:
 
 What does not depend on the edge weights, a HarmonicPattern holds: the
 component check's outcome, the unlabeled nodes, their band order and the
-band layout. Inside shared_patterns(), consecutive graphs with equal edge
-arrays, such as the graphs of one sigma run, share one pattern.
+band layout. grf_scores and grf_propagate build one per call; the engine
+keeps one along a sigma run for as long as it fits the graphs.
 
 The two paths agree to rounding, not to the bit: on crescent grids the
 scores differed by at most 3e-9 and every argmax matched
@@ -32,8 +32,6 @@ the component check (graph.connected_components) csgraph.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,37 +71,17 @@ class LabelSet:
         return np.asarray([c for _, c in self.labeled], dtype=np.int64)
 
 
-# a one-entry list inside shared_patterns(): the last HarmonicPattern built
-_SHARED: ContextVar[list | None] = ContextVar("harmonic_pattern", default=None)
-
-
-@contextmanager
-def shared_patterns():
-    """Let consecutive grf_scores calls in the block share their pattern.
-
-    The slot belongs to the context that enters the block, so the threads
-    of a pool that each enter their own block never share a pattern.
-    """
-    token = _SHARED.set([None])
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
 def grf_scores(g: WeightedGraph, labels: LabelSet) -> np.ndarray:
-    """Per-node class scores; labeled rows are one-hot.
+    """Per-node class scores; labeled rows are one-hot."""
+    return HarmonicPattern(g, labels).scores(g)
 
-    Inside shared_patterns(), a graph whose edge pattern and labels equal
-    those of the previous call reuses that call's HarmonicPattern.
+
+def grf_propagate(g: WeightedGraph, labels: LabelSet) -> Partition:
+    """Assign every node the argmax class of the harmonic scores.
+
+    Ties resolve to the lower class index; labeled nodes keep their labels.
     """
-    slot = _SHARED.get()
-    pattern = slot[0] if slot else None
-    if pattern is None or not pattern.fits(g, labels):
-        pattern = HarmonicPattern(g, labels)
-        if slot:
-            slot[0] = pattern
-    return pattern.scores(g)
+    return HarmonicPattern(g, labels).propagate(g)
 
 
 class HarmonicPattern:
@@ -130,10 +108,11 @@ class HarmonicPattern:
         if self.stranded is None and self.unlabeled.size:
             self._band_layout()
 
-    def fits(self, g: WeightedGraph, labels: LabelSet) -> bool:
+    def fits(self, g: WeightedGraph) -> bool:
+        """Whether g has this pattern's node count and edges (u, v)."""
         u, v, _ = g.edge_arrays()
-        return (g.n == self.n and labels == self.labels
-                and np.array_equal(u, self.u) and np.array_equal(v, self.v))
+        return (g.n == self.n and np.array_equal(u, self.u)
+                and np.array_equal(v, self.v))
 
     def _band_layout(self):
         """Order the unlabeled nodes by reverse Cuthill-McKee and lay out
@@ -185,6 +164,12 @@ class HarmonicPattern:
             else:
                 scores[self.order] = solved
         return scores
+
+    def propagate(self, g: WeightedGraph) -> Partition:
+        """grf_propagate of g, a graph that fits this pattern."""
+        assignment = self.scores(g).argmax(axis=1)  # argmax takes the first maximum
+        assignment[self.labels.nodes()] = self.labels.classes()
+        return Partition(assignment=assignment, K=self.labels.K)
 
     def _banded_harmonic(self, g: WeightedGraph):
         """F_u in RCM order by banded Cholesky, or None when L_uu is not
@@ -239,14 +224,3 @@ def _dense_harmonic(g: WeightedGraph, nodes, unlabeled, scores):
         return cho_solve(factor, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"harmonic system is singular: {exc}") from exc
-
-
-def grf_propagate(g: WeightedGraph, labels: LabelSet) -> Partition:
-    """Assign every node the argmax class of the harmonic scores.
-
-    Ties resolve to the lower class index; labeled nodes keep their labels.
-    """
-    scores = grf_scores(g, labels)
-    assignment = scores.argmax(axis=1)  # argmax takes the first maximum
-    assignment[labels.nodes()] = labels.classes()
-    return Partition(assignment=assignment, K=labels.K)

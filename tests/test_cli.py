@@ -14,6 +14,7 @@ from pcut.errors import InputError
 from pcut.io import read_labels_csv, write_edge_list, write_features_csv, write_labels_csv
 from pcut.graph import DENSE_MAX_NODES, WeightedGraph
 from pcut.reports import validate_report
+from pcut.spectral import VARIANTS
 from pcut.synth import crescent_dataset, gaussian_mixture
 
 
@@ -213,6 +214,27 @@ class TestSslCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    def test_every_grid_point_stranded_exits_1(self, workers, tmp_path, capsys):
+        # two far-apart tight blobs, both seeds in the first: every k-NN
+        # graph of the grid leaves the second blob without a labeled node
+        synth = tmp_path / "s"
+        assert main(["synth", "mixture", "--n", "60", "--weights", "0.5,0.5",
+                     "--mean", "0,0", "--mean", "100,100", "--cov", "0.01,0.01",
+                     "--cov", "0.01,0.01", "--seed", "1", "--out", str(synth)]) == 0
+        truth = read_labels_csv(synth / "truth.csv")
+        first, second = [v for v in sorted(truth) if truth[v] == 0][:2]
+        write_labels_csv(synth / "seeds.csv", {first: 0, second: 1})
+        capsys.readouterr()
+        code = main(["ssl", "--features", str(synth / "features.csv"),
+                     "--labels", str(synth / "seeds.csv"), "--k-grid", "5",
+                     "--workers", workers, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "has no labeled node" in line
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("kind", ["features", "graph", "ssl"])
 def test_reports_byte_identical_across_workers(tmp_path, kind):
@@ -234,6 +256,23 @@ def test_reports_byte_identical_across_workers(tmp_path, kind):
         assert report.pop("timings")["workers"] == int(workers)
         outs.append(json.dumps(report, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["cluster", "ssl"])
+def test_zero_bandwidth_exits_1(command, tmp_path, capsys):
+    # four points, each ten times: every point's 9th neighbour is a duplicate
+    x = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]], 10, axis=0)
+    write_features_csv(tmp_path / "f.csv", x)
+    args = ["cluster", "--features", str(tmp_path / "f.csv"), "--k", "2"]
+    if command == "ssl":
+        write_labels_csv(tmp_path / "l.csv", {0: 0, 30: 1})
+        args = ["ssl", "--features", str(tmp_path / "f.csv"),
+                "--labels", str(tmp_path / "l.csv")]
+    code = main(args + ["--k-grid", "9,30", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: every point has at least 9 exact duplicates, so the bandwidth "
+        "d_k of k=9 is 0\n")
 
 
 class TestSynthAndEval:
@@ -327,6 +366,8 @@ class TestNumberLists:
          "--sigma-exponents entry '2000' lies outside [-1022, 1023]"),
         (["--sigma-exponents", "-2000"],
          "--sigma-exponents entry '-2000' lies outside [-1022, 1023]"),
+        (["--extra-variants", "ncut_normalized, ncut_foo"],
+         f"variant must be one of {VARIANTS}, got 'ncut_foo'"),
     ])
     def test_bad_grid_entry_exits_1(self, argv, message, tmp_path, capsys):
         f, _ = gaussian_mixture(
@@ -441,6 +482,11 @@ class TestNumberLists:
         assert cli._parse_list("--k-grid", " 5, ,10,", int) == (5, 10)
         assert cli._parse_list("--sigma-exponents", "-1022,1023", int,
                                cli._SIGMA_EXPONENTS) == (-1022, 1023)
+        args = cli.build_parser().parse_args(
+            ["cluster", "--features", "f.csv", "--k", "2",
+             "--extra-variants", " ncut_normalized, ,ncut_rw,"])
+        cfg = cli._build_config(args, "clustering", "similarity", 2)
+        assert cfg.extra_variants == ("ncut_normalized", "ncut_rw")
 
 
 # every option each subcommand reads, and no other: 43 settable values

@@ -250,6 +250,20 @@ def test_generate_candidates_byte_identical(monkeypatch):
     [(data, labels)], cfg = crescents_ssl()
     cfg = dataclasses.replace(cfg, sigma_exponents=tuple(range(-3, 4)))
     new = candidate_bytes(pcut.generate_candidates(data, cfg, labels))
-    monkeypatch.setattr(engine, "grf_propagate", reference_grf_propagate)
+
+    class ReferencePattern:
+        """Stands in for engine.HarmonicPattern: each grid point is solved
+        alone by the reference."""
+
+        def __init__(self, g, labels):
+            self.labels = labels
+
+        def fits(self, g):
+            return False
+
+        def propagate(self, g):
+            return reference_grf_propagate(g, self.labels)
+
+    monkeypatch.setattr(engine, "HarmonicPattern", ReferencePattern)
     old = candidate_bytes(pcut.generate_candidates(data, cfg, labels))
     assert new == old

@@ -2,14 +2,14 @@
 
 Along the grid, lambda and k choose the edges and sigma only weighs them,
 so the engine selects the edges once per (lambda, k) and weighs that
-selection at each sigma. Consecutive graphs whose edge arrays are equal
-share one harmonic pattern: one component check, one band order and one
-band layout. These tests check that the shared work gives the bits of the
-per-point work: graphs against rmd_similarity_graph, and scores against a
-pattern built for each graph alone. Scores also match the per-call SuperLU
-solver kept in reference_propagation to SCORE_TOL, with the same argmax,
-and whole ssl runs give the candidates of the per-point loop of
-reference_engine.
+selection at each sigma. The ssl chunk of a sigma run keeps one harmonic
+pattern while its graphs' edges (u, v) stay equal: one component check,
+one band order and one band layout. These tests check that the shared
+work gives the bits of the per-point work: graphs against
+rmd_similarity_graph, and scores against a pattern built for each graph
+alone. Scores also match the per-call SuperLU solver kept in
+reference_propagation to SCORE_TOL, with the same argmax, and whole ssl
+runs give the candidates of the per-point loop of reference_engine.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from pcut import engine, propagation
 from pcut.construction import as_features, baseline_graph
 from pcut.errors import ConstraintError
 from pcut.graph import WeightedGraph
-from pcut.propagation import LabelSet, grf_scores, shared_patterns
+from pcut.propagation import LabelSet, grf_scores
 from pcut.ranking import eta_similarity, rank
 from pcut.rmd import rmd_similarity_edges, rmd_similarity_graph
 
@@ -127,20 +127,26 @@ class TestSharedPatterns:
     def test_scores_bit_identical_across_pattern_changes(self):
         points, graphs = engine_graphs(OUTLIER_X, OUTLIER_CFG, OUTLIER_LABELS)
         assert pattern_count(graphs, points) == 9
-        built = []
+        built, shared = [], []
+
+        class Recording(counting_pattern(built)):
+            def scores(self, g):
+                shared.append(super().scores(g))
+                return shared[-1]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(propagation, "HarmonicPattern", counting_pattern(built))
-            with shared_patterns():
-                shared = [grf_scores(g, OUTLIER_LABELS) for g in graphs]
+            mp.setattr(engine, "HarmonicPattern", Recording)
+            pcut.generate_candidates(OUTLIER_X, OUTLIER_CFG, OUTLIER_LABELS)
         assert len(built) == 9
+        assert len(shared) == len(graphs) == 16
         for g, got in zip(graphs, shared):
-            # outside the block every call builds its own pattern
+            # grf_scores builds a pattern for g alone
             assert got.tobytes() == grf_scores(g, OUTLIER_LABELS).tobytes()
             want = reference_propagation.grf_scores(g, OUTLIER_LABELS)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=SCORE_TOL)
             assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
-    def test_no_sharing_outside_the_block(self, monkeypatch):
+    def test_grf_scores_builds_a_pattern_per_call(self, monkeypatch):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)])
         labels = LabelSet(((0, 0), (3, 1)), K=2)
         built = []
@@ -149,15 +155,12 @@ class TestSharedPatterns:
         grf_scores(g, labels)
         assert len(built) == 2
 
-    def test_labels_are_part_of_the_pattern(self, monkeypatch):
+    def test_labels_are_part_of_the_pattern(self):
         g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)])
-        built = []
-        monkeypatch.setattr(propagation, "HarmonicPattern", counting_pattern(built))
-        with shared_patterns():
-            a = grf_scores(g, LabelSet(((0, 0), (3, 1)), K=2))
-            b = grf_scores(g, LabelSet(((0, 1), (3, 0)), K=2))
-        assert len(built) == 2
-        assert np.array_equal(a, b[:, ::-1])
+        a = propagation.HarmonicPattern(g, LabelSet(((0, 0), (3, 1)), K=2))
+        b = propagation.HarmonicPattern(g, LabelSet(((0, 1), (3, 0)), K=2))
+        assert a.fits(g) and b.fits(g)
+        assert np.array_equal(a.scores(g), b.scores(g)[:, ::-1])
 
     def test_stranded_component_raises_at_every_sigma(self, monkeypatch):
         labels = LabelSet(((0, 0), (1, 1)), K=2)
@@ -165,18 +168,21 @@ class TestSharedPatterns:
         components = propagation.connected_components
         monkeypatch.setattr(propagation, "connected_components",
                             lambda g: checks.append(1) or components(g))
-        messages = []
-        with shared_patterns():
-            for w in (1.0, 0.5, 0.25):
-                g = WeightedGraph(4, [(0, 1, w), (2, 3, w)])
-                with pytest.raises(ConstraintError) as info:
-                    grf_scores(g, labels)
-                messages.append(str(info.value))
-        assert checks == [1]
-        assert messages == ["connected component 1 (nodes [2, 3]) has no labeled node"] * 3
 
-    def test_one_component_check_per_edge_pattern(self, monkeypatch):
+        def build(params_list):
+            return (WeightedGraph(4, [(0, 1, w), (2, 3, w)]) for _, _, w in params_list)
+
+        chunk = list(enumerate((0.0, 1, w) for w in (1.0, 0.5, 0.25)))
+        out = engine._ssl_chunk(chunk, build, labels)
+        assert checks == [1]
+        assert all(isinstance(skip, ConstraintError) for _, _, skip in out)
+        assert [str(skip) for _, _, skip in out] == [
+            "connected component 1 (nodes [2, 3]) has no labeled node"] * 3
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_component_check_per_edge_pattern(self, workers, monkeypatch):
         [(data, labels)], cfg = crescents_ssl(0)
+        cfg = dataclasses.replace(cfg, workers=workers)
         points, graphs = engine_graphs(data, cfg, labels)
         checks = []
         components = propagation.connected_components
@@ -185,8 +191,10 @@ class TestSharedPatterns:
         pcut.generate_candidates(data, cfg, labels)
         assert len(checks) == pattern_count(graphs, points) == 12
 
-    def test_one_band_ordering_per_edge_pattern(self, monkeypatch):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_band_ordering_per_edge_pattern(self, workers, monkeypatch):
         [(data, labels)], cfg = crescents_ssl(0)
+        cfg = dataclasses.replace(cfg, workers=workers)
         orderings = []
         rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
         monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee",
