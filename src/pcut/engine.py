@@ -113,6 +113,9 @@ class PCutConfig:
         for v in (self.variant, *self.extra_variants):
             if v not in VARIANTS:
                 raise ParameterError(f"variant must be one of {VARIANTS}, got {v!r}")
+        # a flavor named twice, or the main variant named again, is run once
+        object.__setattr__(self, "extra_variants", tuple(
+            v for v in dict.fromkeys(self.extra_variants) if v != self.variant))
         check_kmeans_counts(self.kmeans_restarts, self.kmeans_max_iters)
         check_workers(self.workers)
 
@@ -194,11 +197,7 @@ def generate_candidates(data, cfg: PCutConfig,
 
 def _flavors(cfg):
     """(generator, variant) of every k-means candidate of one grid point."""
-    flavors = [("sc", cfg.variant)]
-    for extra in cfg.extra_variants:
-        if extra != cfg.variant:
-            flavors.append(("sc_alt", extra))
-    return flavors
+    return [("sc", cfg.variant)] + [("sc_alt", extra) for extra in cfg.extra_variants]
 
 
 def _ssl_chunk(chunk, build_graphs, labels):

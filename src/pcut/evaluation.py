@@ -1,4 +1,9 @@
-"""Clustering-error scoring via minimum-cost cluster matching."""
+"""Clustering-error scoring via minimum-cost cluster matching.
+
+The matching is an exact min-cost assignment solved with numpy alone
+(_min_cost_columns), so scoring a partition against a truth imports nothing
+beyond numpy and the package's own modules.
+"""
 
 from __future__ import annotations
 
@@ -17,17 +22,59 @@ class ErrorReport:
     confusion: np.ndarray
 
 
+def _min_cost_columns(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of the square `cost`.
+
+    Shortest augmenting paths with row and column potentials: each row in
+    turn grows a Dijkstra tree over the columns, on reduced costs, until it
+    reaches a free column, then flips the path. O(size^3). Rows and columns
+    are 1-based; column 0 is the root of every tree.
+    """
+    size = cost.shape[0]
+    c = np.zeros((size + 1, size + 1))
+    c[1:, 1:] = cost
+    u = np.zeros(size + 1)                       # row potentials
+    v = np.zeros(size + 1)                       # column potentials
+    row_of = np.zeros(size + 1, dtype=np.int64)  # matched row per column, 0 if free
+    way = np.zeros(size + 1, dtype=np.int64)     # previous column on the path
+    for i in range(1, size + 1):
+        row_of[0] = i
+        j0 = 0
+        dist = np.full(size + 1, np.inf)
+        used = np.zeros(size + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used
+            reduced = c[i0] - u[i0] - v
+            closer = free & (reduced < dist)
+            dist[closer] = reduced[closer]
+            way[closer] = j0
+            j0 = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[free] -= delta
+        while j0:
+            prev = way[j0]
+            row_of[j0] = row_of[prev]
+            j0 = prev
+    cols = np.empty(size, dtype=np.int64)
+    cols[row_of[1:] - 1] = np.arange(size)
+    return cols
+
+
 def hungarian_match(cost: np.ndarray):
     """Minimum-cost assignment of rows to columns.
 
     Rectangular matrices are padded with zero-cost dummy rows/columns. Among
     equal-cost optima the lexicographically smallest assignment (by row
-    order) is returned. Gives (columns per original row, total cost).
+    order) is returned: each row takes the first free column that a
+    completion of the remaining rows keeps optimal (to 1e-9). Every optimum
+    comes from the Hungarian method (Kuhn 1955) in the shortest augmenting
+    path form of Jonker and Volgenant (1987), in _min_cost_columns. Gives
+    (columns per original row, total cost).
     """
-    # imported here: a network run never scores against a truth, and scipy's
-    # optimize package is a large share of the package's import time
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.size == 0:
         raise InputError("cost must be a nonempty 2-D matrix")
@@ -39,8 +86,7 @@ def hungarian_match(cost: np.ndarray):
     padded[:rows, :cols] = cost
 
     def optimum(matrix):
-        r, c = linear_sum_assignment(matrix)
-        return float(matrix[r, c].sum())
+        return float(matrix[np.arange(matrix.shape[0]), _min_cost_columns(matrix)].sum())
 
     total = optimum(padded)
     assigned = []
@@ -58,8 +104,8 @@ def hungarian_match(cost: np.ndarray):
                 chosen = int(col)
                 break
         if chosen is None:  # numerical fallback: take the plain optimum
-            r, c = linear_sum_assignment(padded[np.ix_(np.arange(row, size), free_cols)])
-            chosen = int(free_cols[c[list(r).index(0)]])
+            rest = padded[np.ix_(np.arange(row, size), free_cols)]
+            chosen = int(free_cols[_min_cost_columns(rest)[0]])
         used[chosen] = True
         assigned.append(chosen)
         remaining_total -= padded[row, chosen]

@@ -199,13 +199,18 @@ class HarmonicPattern:
 
 def _stranded_component(g: WeightedGraph, nodes) -> str | None:
     """The ConstraintError message for the first connected component of g
-    without a labeled node, or None when every component has one."""
+    without a labeled node (its index, size and first 10 node ids), or None
+    when every component has one."""
     comps = connected_components(g)
     labeled_comps = set(comps.assignment[nodes].tolist())
     for comp in range(comps.K):
         if comp not in labeled_comps:
-            members = np.flatnonzero(comps.assignment == comp).tolist()
-            return f"connected component {comp} (nodes {members}) has no labeled node"
+            members = np.flatnonzero(comps.assignment == comp)
+            shown = ", ".join(map(str, members[:10].tolist()))
+            if members.size > 10:
+                shown += ", ..."
+            return (f"connected component {comp} (size {members.size}, nodes [{shown}]) "
+                    "has no labeled node")
     return None
 
 

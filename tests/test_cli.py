@@ -122,6 +122,25 @@ class TestClusterCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["manifest"]["run_id"] == "01ea42c80f6975b7"
 
+    @pytest.mark.parametrize("flags, same_as", [
+        (["--extra-variants", "ncut_normalized,ncut_normalized"],
+         ["--extra-variants", "ncut_normalized"]),
+        (["--variant", "ncut_rw", "--extra-variants", "ncut_rw"], []),
+    ])
+    def test_repeated_flavor_runs_once(self, tmp_path, flags, same_as):
+        # a flavor named twice, or named as the main variant too, gives the
+        # candidates and run_id of naming it once
+        path, _ = two_cliques_file(tmp_path)
+        reports = []
+        for name, extra in (("repeated", flags), ("once", same_as)):
+            out = tmp_path / name
+            assert main(["cluster", "--graph", str(path), "--k", "2", "--delta", "0.2",
+                         "--seed", "1", "--out", str(out), *extra]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        repeated, once = reports
+        assert repeated["candidates"] == once["candidates"]
+        assert repeated["manifest"]["run_id"] == once["manifest"]["run_id"]
+
     def test_sweep_cuts_with_three_clusters_exits_1(self, tmp_path, capsys):
         path, _ = two_cliques_file(tmp_path)
         code = main(["cluster", "--graph", str(path), "--k", "3", "--sweep-cuts",
@@ -483,7 +502,7 @@ class TestNumberLists:
         assert cli._parse_list("--sigma-exponents", "-1022,1023", int,
                                cli._SIGMA_EXPONENTS) == (-1022, 1023)
         args = cli.build_parser().parse_args(
-            ["cluster", "--features", "f.csv", "--k", "2",
+            ["cluster", "--features", "f.csv", "--k", "2", "--variant", "rcut_unnormalized",
              "--extra-variants", " ncut_normalized, ,ncut_rw,"])
         cfg = cli._build_config(args, "clustering", "similarity", 2)
         assert cfg.extra_variants == ("ncut_normalized", "ncut_rw")

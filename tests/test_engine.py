@@ -384,9 +384,9 @@ def loaded():
 
 
 def test_network_run_loads_neither_cdist_nor_the_assignment_solver():
-    # scipy.spatial serves only feature inputs and scipy.optimize only
-    # scoring against a truth, so importing pcut and running a connectivity
-    # grid loads neither
+    # scipy.spatial serves only feature inputs and the package uses no
+    # scipy.optimize at all (scoring matches clusters in numpy), so importing
+    # pcut and running a connectivity grid loads neither
     code = "\n".join((
         "import sys, pcut",
         "unused = ('scipy.spatial.distance', 'scipy.optimize')",
@@ -399,10 +399,10 @@ def test_network_run_loads_neither_cdist_nor_the_assignment_solver():
 
 
 def test_import_and_dense_network_runs_load_no_scipy():
-    # scipy serves only Lanczos, the harmonic solve, component checks,
-    # feature inputs and scoring against a truth; a network run whose
-    # bundles all stay dense (at most SPARSE_MIN_NODES positive-degree
-    # nodes, or K >= 3) reaches none of them, and a serial run starts no pool
+    # scipy serves only Lanczos, the harmonic solve, component checks and
+    # feature inputs; a network run whose bundles all stay dense (at most
+    # SPARSE_MIN_NODES positive-degree nodes, or K >= 3) reaches none of
+    # them, and a serial run starts no pool
     code = LOADED + "\n".join((
         "import pcut",
         "from pcut.spectral import SPARSE_MIN_NODES",
@@ -415,6 +415,28 @@ def test_import_and_dense_network_runs_load_no_scipy():
         "    print(loaded())",
     ))
     assert run_python(code) == "[]\n[]\n[]\n"
+
+
+def test_scoring_against_a_truth_loads_no_scipy(tmp_path):
+    # the cluster matching of clustering_error is numpy alone, so neither a
+    # library call nor `pcut eval` loads any scipy module
+    code = LOADED + "\n".join((
+        "import contextlib, io, os, pcut",
+        "from pcut import cli",
+        "from pcut.io import write_labels_csv",
+        "found = pcut.Partition(assignment=[0, 0, 1, 1, 2, 2, 2], K=3)",
+        "truth = pcut.Partition(assignment=[1, 1, 2, 2, 0, 0, 2], K=3)",
+        "assert abs(pcut.clustering_error(found, truth).error_rate - 1 / 7) < 1e-12",
+        "print(loaded())",
+        f"os.chdir({str(tmp_path)!r})",
+        "write_labels_csv('found.csv', found.assignment)",
+        "write_labels_csv('truth.csv', truth.assignment)",
+        "with contextlib.redirect_stdout(io.StringIO()):  # the report's echo",
+        "    assert cli.main(['eval', '--found', 'found.csv', '--truth', 'truth.csv',",
+        "                     '--out', 'eval.json']) == 0",
+        "print(loaded())",
+    ))
+    assert run_python(code) == "[]\n[]\n"
 
 
 # Each case builds `data`, `labels` and `cfg` with WORKERS workers. The sbm graph

@@ -3,18 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from pcut.evaluation import clustering_error, hungarian_match
+from pcut.evaluation import _min_cost_columns, clustering_error, hungarian_match
 from pcut.graph import Partition
-
-
-def brute_force_cost(cost):
-    size = cost.shape[0]
-    best = None
-    for perm in itertools.permutations(range(size)):
-        total = sum(cost[i, perm[i]] for i in range(size))
-        if best is None or total < best:
-            best = total
-    return best
 
 
 def part(labels, K=None):
@@ -35,12 +25,26 @@ class TestHungarianMatch:
         assert total == 0.0
 
     def test_matches_bruteforce_on_random_instances(self):
+        # the lexicographically first optimum, square and rectangular: small
+        # integer costs tie often, and permutations() runs in lexicographic
+        # order, so argmin over its totals is the first optimum
         rng = np.random.default_rng(19)
-        for _ in range(200):
-            size = int(rng.integers(2, 6))
-            cost = rng.integers(0, 10, size=(size, size)).astype(float)
-            _, total = hungarian_match(cost)
-            assert total == brute_force_cost(cost)
+        perms = {size: np.array(list(itertools.permutations(range(size))))
+                 for size in range(1, 8)}
+        for _ in range(2000):
+            rows, cols = (int(x) for x in rng.integers(1, 8, size=2))
+            if rng.random() < 0.5:
+                cols = rows
+            size = max(rows, cols)
+            high = int(rng.choice((2, 4, 10)))
+            cost = rng.integers(0, high, size=(rows, cols)).astype(float)
+            padded = np.zeros((size, size))
+            padded[:rows, :cols] = cost
+            totals = padded[np.arange(size), perms[size]].sum(axis=1)
+            best = int(np.argmin(totals))
+            found, total = hungarian_match(cost)
+            assert found.tolist() == perms[size][best, :rows].tolist()
+            assert total == totals[best]
 
     def test_lexicographically_smallest_among_ties(self):
         # all-equal costs: every permutation is optimal
@@ -52,6 +56,30 @@ class TestHungarianMatch:
         cols, total = hungarian_match(cost)
         assert cols.tolist() == [1]
         assert total == 1.0
+
+    def test_private_solver_matches_scipy(self):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            size = int(rng.integers(1, 41))
+            cost = rng.normal(size=(size, size)) * 10.0 ** rng.uniform(-3, 3)
+            cols = _min_cost_columns(cost)
+            assert sorted(cols.tolist()) == list(range(size))
+            r, c = linear_sum_assignment(cost)
+            expected = cost[r, c].sum()
+            assert cost[np.arange(size), cols].sum() == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
+
+    def test_all_equal_negative_and_single_entry_costs(self):
+        cols, total = hungarian_match(np.full((3, 5), -2.5))
+        assert cols.tolist() == [0, 1, 2]
+        assert total == -7.5
+        cost = -np.array([[1.0, 5.0, 2.0], [4.0, 1.0, 3.0], [2.0, 6.0, 1.0]])
+        cols, total = hungarian_match(cost)
+        assert cols.tolist() == [2, 0, 1] and total == -12.0
+        for value in (-3.0, 0.0, 7.0):
+            cols, total = hungarian_match(np.array([[value]]))
+            assert cols.tolist() == [0] and total == value
 
 
 class TestClusteringError:

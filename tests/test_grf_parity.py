@@ -43,9 +43,13 @@ def reference_grf_scores(g: WeightedGraph, labels: LabelSet) -> np.ndarray:
     labeled_comps = set(comps.assignment[nodes].tolist())
     for comp in range(comps.K):
         if comp not in labeled_comps:
-            members = np.flatnonzero(comps.assignment == comp).tolist()
+            members = np.flatnonzero(comps.assignment == comp)
+            shown = ", ".join(map(str, members[:10].tolist()))
+            if members.size > 10:
+                shown += ", ..."
             raise ConstraintError(
-                f"connected component {comp} (nodes {members}) has no labeled node")
+                f"connected component {comp} (size {members.size}, nodes [{shown}]) "
+                "has no labeled node")
     w = g.weight_matrix()
     deg = w.sum(axis=1)
     scores = np.zeros((g.n, labels.K))

@@ -46,6 +46,19 @@ class TestGrfPropagate:
         with pytest.raises(ConstraintError):
             grf_propagate(g, labelset([(0, 0), (1, 1)], K=2))
 
+    def test_stranded_component_message_is_bounded(self):
+        # a 200-node path apart from the labeled pair: the message names the
+        # component, its size and its first 10 ids, not all 200
+        n = 202
+        g = WeightedGraph.from_arrays(n, np.array([0, *range(2, n - 1)]),
+                                      np.array([1, *range(3, n)]))
+        with pytest.raises(ConstraintError) as err:
+            grf_propagate(g, labelset([(0, 0), (1, 1)], K=2))
+        assert str(err.value) == (
+            "connected component 1 (size 200, nodes [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, "
+            "...]) has no labeled node")
+        assert len(str(err.value)) < 200
+
 
 class TestHarmonicProperties:
     def rig(self):

@@ -177,7 +177,7 @@ class TestSharedPatterns:
         assert checks == [1]
         assert all(isinstance(skip, ConstraintError) for _, _, skip in out)
         assert [str(skip) for _, _, skip in out] == [
-            "connected component 1 (nodes [2, 3]) has no labeled node"] * 3
+            "connected component 1 (size 2, nodes [2, 3]) has no labeled node"] * 3
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_component_check_per_edge_pattern(self, workers, monkeypatch):
