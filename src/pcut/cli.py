@@ -158,6 +158,12 @@ def cmd_cluster(args) -> int:
         # sweep cuts bisect the graph, so a K >= 3 run would echo a flag
         # that adds no candidate
         raise InputError(f"--sweep-cuts needs --k 2, got --k {args.k}")
+    for flag, value in (("--k-grid", args.k_grid),
+                        ("--sigma-exponents", args.sigma_exponents)):
+        if args.graph and value is not None:
+            # a network grid spans lambda alone, so the flag would be ignored
+            raise InputError(f"{flag} needs --features: a --graph grid spans "
+                             "lambda only")
     if args.features:
         data, modality = read_features_csv(args.features), "similarity"
         inputs = {"features": args.features}

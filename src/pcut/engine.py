@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,15 +50,14 @@ from .construction import (FeatureMatrix, _weighted_graph, as_features,
                            avg_knn_distance, baseline_graph, construction_k0,
                            selection_k0)
 from .errors import (ConstraintError, InputError, NoFeasiblePartitionError,
-                     NumericError, ParameterError)
+                     NumericError, ParameterError, check_counts)
 from .graph import Partition, WeightedGraph, cut_value
 from .propagation import HarmonicPattern, LabelSet
 from .ranking import (common_neighbor_counts, eta_connectivity,
                       eta_similarity, rank)
 from .rmd import rmd_connectivity_family, rmd_similarity_edges
-from .spectral import (VARIANTS, _embedding_rows, check_kmeans_counts,
-                       kmeans_batch, kmeans_batch_problems, spectral_bundle,
-                       sweep_from_bundle)
+from .spectral import (_embedding_rows, check_k_and_variants, kmeans_batch,
+                       kmeans_batch_problems, spectral_bundle, sweep_from_bundle)
 
 DEFAULT_SIMILARITY_LAMBDAS = tuple(round(0.2 * i, 1) for i in range(6))
 DEFAULT_CONNECTIVITY_LAMBDAS = tuple(round(0.5 + 0.025 * i, 3) for i in range(21))
@@ -76,15 +76,14 @@ def mix_seed(seed: int, index: int) -> int:
     return (seed ^ x) & 0xFFFFFFFFFFFFFFFF
 
 
-def check_workers(workers: int) -> None:
-    """Raise ParameterError unless at least one worker runs the grid."""
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-
-
 @dataclass(frozen=True)
 class PCutConfig:
-    """Grid, constraint, and black-box configuration for one run."""
+    """Grid, constraint, and black-box configuration for one run.
+
+    A grid entry named twice, in lambda_grid, k_grid or sigma_exponents,
+    runs once; each grid keeps its distinct entries in first-occurrence
+    order. The k-means restart and iteration counts are fixed constants.
+    """
 
     K: int
     task: str = "clustering"              # clustering | ssl
@@ -96,45 +95,43 @@ class PCutConfig:
     variant: str = "ncut_rw"              # spectral flavor of the SC black box
     extra_variants: tuple = ()            # additional k-means flavors per grid point
     sweep_cuts: bool = False              # add min-cut sweep candidates (K=2 only)
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 100
     seed: int = 0
     workers: int = 1
+    kmeans_restarts: ClassVar[int] = 10
+    kmeans_max_iters: ClassVar[int] = 100
 
     def __post_init__(self):
-        if self.K < 2:
-            raise ParameterError(f"cluster count must be >= 2, got {self.K}")
+        check_k_and_variants(self.K, (self.variant, *self.extra_variants))
         if self.task not in ("clustering", "ssl"):
             raise ParameterError(f"unknown task {self.task!r}")
         if self.modality not in ("similarity", "connectivity"):
             raise ParameterError(f"unknown modality {self.modality!r}")
         if not 0.0 < self.delta <= 0.5:
             raise ParameterError(f"delta must lie in (0, 0.5], got {self.delta}")
-        for v in (self.variant, *self.extra_variants):
-            if v not in VARIANTS:
-                raise ParameterError(f"variant must be one of {VARIANTS}, got {v!r}")
-        # a flavor named twice, or the main variant named again, is run once
+        # a flavor or grid entry named twice, or the main variant named
+        # again, is run once
         object.__setattr__(self, "extra_variants", tuple(
             v for v in dict.fromkeys(self.extra_variants) if v != self.variant))
-        check_kmeans_counts(self.kmeans_restarts, self.kmeans_max_iters)
-        check_workers(self.workers)
+        for grid in ("lambda_grid", "k_grid", "sigma_exponents"):
+            object.__setattr__(self, grid, tuple(dict.fromkeys(getattr(self, grid))))
+        check_counts(workers=self.workers)
 
     def lambdas(self) -> tuple:
         if self.lambda_grid:
-            return tuple(self.lambda_grid)
+            return self.lambda_grid
         if self.modality == "similarity":
             return DEFAULT_SIMILARITY_LAMBDAS
         return DEFAULT_CONNECTIVITY_LAMBDAS
 
     def ks(self, n: int) -> tuple:
-        grid = self.k_grid if self.k_grid else DEFAULT_K_GRID
+        grid = self.k_grid or DEFAULT_K_GRID
         out = tuple(k for k in grid if 1 <= k <= n - 1)
         if not out:
             raise ParameterError("k grid is empty after clipping to [1, n-1]")
         return out
 
     def sigma_exps(self) -> tuple:
-        return tuple(self.sigma_exponents) if self.sigma_exponents else DEFAULT_SIGMA_EXPONENTS
+        return self.sigma_exponents or DEFAULT_SIGMA_EXPONENTS
 
 
 @dataclass(frozen=True)

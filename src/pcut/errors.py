@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one check of counts.
 
 The CLI maps these to exit codes: input problems exit 1, an empty feasible
 set exits 2, numerical failures exit 3.
@@ -31,3 +31,10 @@ class NoFeasiblePartitionError(PCutError):
     def __init__(self, message, best_infeasible=None):
         super().__init__(message)
         self.best_infeasible = best_infeasible
+
+
+def check_counts(**counts) -> None:
+    """Raise ParameterError naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")

@@ -16,14 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .engine import CandidateCut, PCutConfig, generate_candidates, pcut_select
-from .errors import ParameterError
+from .errors import ParameterError, check_counts
 from .evaluation import clustering_error
 from .graph import Partition, largest_component_nodes
 from .io import read_edge_list, read_labels_csv
-from .construction import avg_knn_distance, baseline_graph, knn_graph
-from .rmd import rmd_similarity_graph
-from .ranking import eta_similarity, rank
-from .spectral import SpectralConfig, spectral_clustering
 from .synth import SbmSpec, crescent_constants, crescent_dataset, sbm_generate, stream
 
 # Experiment presets mirror the source studies. Block-model presets report
@@ -45,13 +41,6 @@ DOLPHINS_REMOVALS, DOLPHINS_SAMPLINGS = (4, 8, 12), 100
 DOLPHINS_DELTA, DOLPHINS_BASE_SEED = 0.1, 99
 CRESCENTS_N, CRESCENTS_NOISE, CRESCENTS_SEED = 1000, 0.08, 11
 CRESCENTS_LAMBDA, CRESCENTS_K = 0.5, 30
-
-
-def _check_counts(**counts) -> None:
-    """Raise ParameterError for the first count below 1."""
-    for key, value in counts.items():
-        if value < 1:
-            raise ParameterError(f"{key} must be >= 1, got {value}")
 
 
 def data_path(name: str) -> Path:
@@ -118,7 +107,7 @@ def run_sbm_lambda_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     Reports per-lambda mean error and normalized cut for the plain spectral
     flavor, plus the selected-partition and plain-SC error summary.
     """
-    _check_counts(n_seeds=n_seeds, workers=workers)
+    check_counts(n_seeds=n_seeds, workers=workers)
     per_seed = []
     lam_errors: dict = {}
     lam_cuts: dict = {}
@@ -165,7 +154,7 @@ def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     is mean selected error over mean plain-SC error; when both means are
     exactly zero it is reported as 1.0.
     """
-    _check_counts(n_seeds=n_seeds, workers=workers)
+    check_counts(n_seeds=n_seeds, workers=workers)
     rows = []
     per_alpha = {}
     for alpha in ALPHA_SWEEP_ALPHAS:
@@ -215,7 +204,7 @@ def run_karate(out_dir=None, workers=1):
     This preset keeps the plain spectral family (no sweep candidates),
     matching the source study's black-box configuration.
     """
-    _check_counts(workers=workers)
+    check_counts(workers=workers)
     g, truth = load_bundled_network("karate")
     full = _karate_outcome(g, truth, list(range(1, g.n + 1)), 5 / 34, workers)
     keep = [i for i in range(g.n) if (i + 1) not in KARATE_REMOVED_1BASED]
@@ -233,11 +222,10 @@ def run_karate(out_dir=None, workers=1):
 
 
 def _misattributed(found: Partition, truth: Partition, ids):
-    """Ids of nodes outside the optimal matching, binary case."""
-    a, t = found.assignment, truth.assignment
-    flipped = 1 - a
-    wrong = a != t if (a != t).sum() <= (flipped != t).sum() else flipped != t
-    return [ids[i] for i in np.flatnonzero(wrong)]
+    """Ids of nodes whose cluster the error's matching maps off their class."""
+    matching = clustering_error(found, truth).matching
+    mapped = np.array([-1 if t is None else t for t in matching.values()])
+    return [ids[i] for i in np.flatnonzero(mapped[found.assignment] != truth.assignment)]
 
 
 def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
@@ -246,7 +234,7 @@ def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
     After removing the sampled nodes, anything disconnected from the largest
     component is dropped too; errors are means over samplings.
     """
-    _check_counts(n_samplings=n_samplings, workers=workers)
+    check_counts(n_samplings=n_samplings, workers=workers)
     g, truth = load_bundled_network("dolphins")
     small_nodes = np.flatnonzero(truth.assignment == 0)
     per_removal = {}
@@ -288,27 +276,25 @@ def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
 def run_crescents(out_dir=None):
     """Illustrative three-cluster run: two crescents plus a small blob.
 
-    Single run, no grid search: ratio-cut spectral clustering on the plain
-    k-NN graph versus the rank-modulated graph at a fixed lambda.
+    A two-point engine grid with no selection: ratio-cut spectral clustering
+    on the plain k-NN graph (lambda = 1) versus the rank-modulated graph at
+    a fixed lambda, both at k = CRESCENTS_K and sigma = d_k.
     """
     f, labels = crescent_dataset(CRESCENTS_N, noise=CRESCENTS_NOISE,
                                  seed=CRESCENTS_SEED)
     truth = Partition(assignment=labels, K=3)
-    sigma = avg_knn_distance(f, CRESCENTS_K)
-    ranks = rank(eta_similarity(f, baseline_graph(f, "construction")))
-    plain_graph = knn_graph(f, CRESCENTS_K, weights="rbf", sigma=sigma)
-    rmd_graph = rmd_similarity_graph(f, ranks, CRESCENTS_LAMBDA, CRESCENTS_K,
-                                     weights="rbf", sigma=sigma)
-    sc_cfg = SpectralConfig(K=3, variant="rcut_unnormalized", seed=CRESCENTS_SEED)
-    knn_error = _err(spectral_clustering(plain_graph, sc_cfg), truth)
-    rmd_error = _err(spectral_clustering(rmd_graph, sc_cfg), truth)
+    cfg = PCutConfig(K=3, lambda_grid=(1.0, CRESCENTS_LAMBDA),
+                     k_grid=(CRESCENTS_K,), sigma_exponents=(0,),
+                     variant="rcut_unnormalized", seed=CRESCENTS_SEED)
+    plain, rmd = generate_candidates(f, cfg)
+    knn_error, rmd_error = _err(plain.partition, truth), _err(rmd.partition, truth)
     _write_csv(out_dir, "crescents.csv", ["graph", "error"],
                [("knn", knn_error), ("rmd", rmd_error)])
     return {
         "experiment": "crescents",
         "n": CRESCENTS_N, "noise": CRESCENTS_NOISE, "seed": CRESCENTS_SEED,
         "lambda": CRESCENTS_LAMBDA, "k": CRESCENTS_K,
-        "sigma": sigma,
+        "sigma": plain.sigma,
         "geometry": crescent_constants(),
         "knn_error": knn_error,
         "rmd_error": rmd_error,

@@ -109,7 +109,6 @@ class WeightedGraph:
         if order is not None:
             lo, hi, w = lo[order], hi[order], w[order]
         self._u, self._v, self._w = lo, hi, w
-        self._degrees = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -130,11 +129,9 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node (sum of incident weights)."""
-        if self._degrees is None:
-            self._degrees = np.bincount(
-                np.concatenate([self._u, self._v]),
-                weights=np.concatenate([self._w, self._w]), minlength=self.n)
-        return self._degrees.copy()
+        return np.bincount(np.concatenate([self._u, self._v]),
+                           weights=np.concatenate([self._w, self._w]),
+                           minlength=self.n)
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric weight matrix with zero diagonal."""
@@ -158,7 +155,6 @@ class WeightedGraph:
         g = WeightedGraph.__new__(WeightedGraph)
         g.n = self.n
         g._u, g._v, g._w = self._u[keep], self._v[keep], self._w[keep]
-        g._degrees = None
         return g
 
     def __repr__(self):

@@ -36,9 +36,11 @@ Which eigensolver runs:
   changed candidates and one selection. K = 2 is exposed to the same miss.
 
 scipy is imported on first use, inside the functions that need it: the
-Lanczos branch of ``spectral_bundle`` (csgraph's component count),
-``normalized_adjacency`` (scipy.sparse) and ``lanczos_eigenvectors``
-(ARPACK). A run whose bundles all stay dense loads none of them.
+Lanczos branch of ``spectral_bundle`` counts components with
+``graph.connected_components``, then builds ``normalized_adjacency``
+(scipy.sparse) for a connected subgraph only and calls
+``lanczos_eigenvectors`` (ARPACK). A run whose bundles all stay dense
+loads none of them.
 
 The dense path forms the n x n Laplacian and calls ``smallest_eigenvectors``.
 Both solvers apply one sign rule, in one array pass over the columns
@@ -88,8 +90,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, ParameterError
-from .graph import Partition, WeightedGraph, _dense_weights
+from .errors import InputError, NumericError, ParameterError, check_counts
+from .graph import Partition, WeightedGraph, _dense_weights, connected_components
 
 VARIANTS = ("rcut_unnormalized", "ncut_normalized", "ncut_rw")
 
@@ -125,11 +127,18 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 2:
-            raise ParameterError(f"cluster count must be >= 2, got {self.K}")
-        if self.variant not in VARIANTS:
-            raise ParameterError(f"variant must be one of {VARIANTS}")
-        check_kmeans_counts(self.kmeans_restarts, self.kmeans_max_iters)
+        check_k_and_variants(self.K, (self.variant,))
+        check_counts(**{"k-means restarts": self.kmeans_restarts,
+                        "k-means iterations": self.kmeans_max_iters})
+
+
+def check_k_and_variants(K: int, variants) -> None:
+    """Raise ParameterError unless K >= 2 and every variant is in VARIANTS."""
+    if K < 2:
+        raise ParameterError(f"cluster count must be >= 2, got {K}")
+    for v in variants:
+        if v not in VARIANTS:
+            raise ParameterError(f"variant must be one of {VARIANTS}, got {v!r}")
 
 
 def laplacian(g: WeightedGraph, variant: str = "rcut_unnormalized") -> np.ndarray:
@@ -569,14 +578,6 @@ def _winners(points: np.ndarray, labels: np.ndarray, K: int, step: int) -> np.nd
     return best
 
 
-def check_kmeans_counts(restarts: int, max_iters: int) -> None:
-    """Raise ParameterError unless k-means has at least one restart and iteration."""
-    if restarts < 1:
-        raise ParameterError(f"k-means restarts must be >= 1, got {restarts}")
-    if max_iters < 1:
-        raise ParameterError(f"k-means iterations must be >= 1, got {max_iters}")
-
-
 def kmeans_batch_problems(n: int, K: int, dim: int, restarts: int) -> int:
     """How many k-means problems of n points in dim columns fill one batch.
 
@@ -611,7 +612,7 @@ def kmeans_batch(points: np.ndarray, K: int, seeds, restarts: int = 10,
                              f"{P} problems, {len(seeds)} seeds")
     if n < K:
         raise ParameterError(f"need at least K={K} points, got {n}")
-    check_kmeans_counts(restarts, max_iters)
+    check_counts(**{"k-means restarts": restarts, "k-means iterations": max_iters})
     if not np.isfinite(points).all():
         raise InputError("k-means points must be finite")
     problem = np.repeat(np.arange(P), restarts)
@@ -677,15 +678,15 @@ def spectral_bundle(g: WeightedGraph, K: int, normalized: bool):
         return None
     keff = min(max(K, 4) if normalized else K, n)
     vecs = None
-    if normalized and K == 2 and n > SPARSE_MIN_NODES:
-        # imported here, so that runs that stay dense do not load csgraph
-        from scipy.sparse import csgraph
-        a = normalized_adjacency(n, u, v, w, deg)
-        if csgraph.connected_components(a, directed=False, return_labels=False) == 1:
-            try:
-                vecs, vals = lanczos_eigenvectors(a, keff)
-            except NumericError:
-                pass  # the dense path below decides
+    # the positive-degree subgraph is connected when every component but
+    # one is an isolated node
+    if (normalized and K == 2 and n > SPARSE_MIN_NODES
+            and connected_components(g).K == g.n - n + 1):
+        try:
+            vecs, vals = lanczos_eigenvectors(
+                normalized_adjacency(n, u, v, w, deg), keff)
+        except NumericError:
+            pass  # the dense path below decides
     if vecs is None:
         lap = _laplacian(_dense_weights(n, u, v, w),
                          "ncut_normalized" if normalized else "rcut_unnormalized")

@@ -149,6 +149,39 @@ class TestClusterCommand:
         assert "--sweep-cuts needs --k 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--k-grid", "5,7", "--sigma-exponents", "1"], "--k-grid"),
+        (["--k-grid", "5"], "--k-grid"),
+        (["--sigma-exponents", "0"], "--sigma-exponents"),
+    ])
+    def test_graph_run_rejects_feature_grid_flags(self, tmp_path, capsys, flags, flag):
+        # a network grid spans lambda alone; the flag would be ignored
+        path, _ = two_cliques_file(tmp_path)
+        code = main(["cluster", "--graph", str(path), "--k", "2", *flags,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} needs --features: a --graph grid spans lambda only\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_grid_entries_run_once(self, tmp_path):
+        # the manifest echoes each grid entry once, so the same work gets
+        # the same run_id
+        f, _ = crescent_dataset(120, seed=1)
+        path = tmp_path / "features.csv"
+        write_features_csv(path, f.x)
+        reports = []
+        for name, grids in (("twice", ("10,10", "1,1", "0,0")), ("once", ("10", "1", "0"))):
+            out = tmp_path / name
+            assert main(["cluster", "--features", str(path), "--k", "3",
+                         "--k-grid", grids[0], "--lambda-grid", grids[1],
+                         "--sigma-exponents", grids[2], "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        twice, once = reports
+        assert len(twice["candidates"]) == 1
+        assert twice["candidates"] == once["candidates"]
+        assert twice["manifest"] == once["manifest"]
+
     def test_env_seed_used_and_overridden(self, tmp_path, monkeypatch):
         path, _ = two_cliques_file(tmp_path)
         monkeypatch.setenv("PCUT_SEED", "5")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pcut.construction import avg_knn_distance
 from pcut.propagation import LabelSet, grf_scores
 from pcut.ranking import common_neighbor_counts, eta_connectivity, rank
 from pcut.rmd import rmd_connectivity_graph, rmd_similarity_graph
+from pcut.spectral import SpectralConfig, kmeans_batch
 from pcut.synth import gaussian_mixture
 
 from benchmark_instances import candidate_bytes
@@ -35,6 +37,39 @@ def make_candidate(cut, lam=0.5, feasible=True, min_size=5, index=0,
                         lam=lam, k=None, sigma=None, generator=generator,
                         feasible=feasible, min_cluster_size=min_size,
                         baseline_cut=cut, normalized_cut=cut, index=index)
+
+
+# every positive-count check of the package, with the name its message gives
+COUNT_CHECKS = {
+    "PCutConfig workers": (lambda v: PCutConfig(K=2, workers=v), "workers"),
+    "kmeans_batch restarts": (
+        lambda v: kmeans_batch(np.zeros((1, 4, 1)), 2, [0], restarts=v),
+        "k-means restarts"),
+    "kmeans_batch max_iters": (
+        lambda v: kmeans_batch(np.zeros((1, 4, 1)), 2, [0], max_iters=v),
+        "k-means iterations"),
+    "SpectralConfig restarts": (
+        lambda v: SpectralConfig(K=2, kmeans_restarts=v), "k-means restarts"),
+    "SpectralConfig max_iters": (
+        lambda v: SpectralConfig(K=2, kmeans_max_iters=v), "k-means iterations"),
+    **{f"{preset} {key}": (
+        lambda v, preset=preset, key=key: run_experiment(preset, **{key: v}), key)
+       for preset, key in (("sbm-lambda-sweep", "n_seeds"),
+                           ("sbm-lambda-sweep", "workers"),
+                           ("sbm-alpha-sweep", "n_seeds"),
+                           ("sbm-alpha-sweep", "workers"),
+                           ("karate", "workers"),
+                           ("dolphins", "n_samplings"),
+                           ("dolphins", "workers"))},
+}
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("check", COUNT_CHECKS)
+def test_count_checks_name_the_count(check, value):
+    call, name = COUNT_CHECKS[check]
+    with pytest.raises(ParameterError, match=rf"^{name} must be >= 1, got {value}$"):
+        call(value)
 
 
 class TestGenerateCandidates:
@@ -86,12 +121,21 @@ class TestGenerateCandidates:
                [(c.lam, c.baseline_cut, c.min_cluster_size,
                  c.partition.assignment.tolist()) for c in b]
 
-    @pytest.mark.parametrize("field,match", [
-        ("kmeans_restarts", "restarts must be >= 1, got 0"),
-        ("kmeans_max_iters", "iterations must be >= 1, got 0")])
-    def test_kmeans_counts_must_be_positive(self, field, match):
-        with pytest.raises(ParameterError, match=match):
-            PCutConfig(K=2, **{field: 0})
+    def test_kmeans_counts_are_constants(self):
+        # no caller turns them, so they are not fields: 12 settable ones
+        assert len(dataclasses.fields(PCutConfig)) == 12
+        cfg = PCutConfig(K=2)
+        assert (cfg.kmeans_restarts, cfg.kmeans_max_iters) == (10, 100)
+        with pytest.raises(TypeError):
+            PCutConfig(K=2, kmeans_restarts=3)
+
+    def test_repeated_grid_entries_run_once(self):
+        # each grid keeps its distinct entries in first-occurrence order
+        cfg = PCutConfig(K=2, lambda_grid=[1.0, 0.5, 1, 0.5], k_grid=(10, 5, 10),
+                         sigma_exponents=(0, -1, 0, 0))
+        assert cfg.lambda_grid == (1.0, 0.5)
+        assert cfg.k_grid == (10, 5)
+        assert cfg.sigma_exponents == (0, -1)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_must_be_positive(self, workers):

@@ -2,9 +2,12 @@ import hashlib
 import inspect
 import json
 
+import numpy as np
 import pytest
 
+from pcut import experiments
 from pcut.errors import ParameterError
+from pcut.graph import Partition
 from pcut.experiments import (EXPERIMENTS, PRESETS, run_dolphins, run_experiment,
                               run_karate, run_sbm_alpha_sweep,
                               run_sbm_lambda_sweep)
@@ -67,3 +70,42 @@ def test_dolphins_summary_golden():
     assert summary["n_samplings"] == 2
     digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
     assert digest == "1fc75b154c6f4853e0e5a3e938e058b26c322b23a4921d09615959f6cc28d8fa"
+
+
+def test_crescents_preset_runs_one_engine_grid(monkeypatch):
+    # lambda = 1 is the plain k-NN graph, so one two-point grid gives both
+    # errors; the summary keeps the values of building the graphs by hand
+    configs = []
+    real = experiments.generate_candidates
+    monkeypatch.setattr(experiments, "generate_candidates",
+                        lambda data, cfg: configs.append(cfg) or real(data, cfg))
+    summary = run_experiment("crescents")
+    [cfg] = configs
+    assert (cfg.K, cfg.lambda_grid, cfg.k_grid, cfg.sigma_exponents, cfg.variant,
+            cfg.seed) == (3, (1.0, 0.5), (30,), (0,), "rcut_unnormalized", 11)
+    assert (summary["knn_error"], summary["rmd_error"], summary["sigma"]) == (
+        0.11699999999999999, 0.0020000000000000018, 0.15147611068391906)
+
+
+def binary_misattributed(found, truth, ids):
+    """The binary matcher _misattributed used before it read the matching."""
+    a, t = found.assignment, truth.assignment
+    flipped = 1 - a
+    wrong = a != t if (a != t).sum() <= (flipped != t).sum() else flipped != t
+    return [ids[i] for i in np.flatnonzero(wrong)]
+
+
+def test_misattributed_reads_the_error_matching():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        found = Partition(assignment=rng.integers(0, 2, n), K=2)
+        truth = Partition(assignment=rng.integers(0, 2, n), K=2)
+        ids = list(range(1, n + 1))
+        assert experiments._misattributed(found, truth, ids) == \
+            binary_misattributed(found, truth, ids)
+    summary = run_karate()
+    assert summary["full"]["sc_misattributed"] == [3]
+    assert summary["reduced"]["sc_misattributed"] == [1, 2, 3, 4, 8, 12, 13, 14,
+                                                      18, 20, 22]
+    assert summary["reduced"]["pcut_misattributed"] == [3]

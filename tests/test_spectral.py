@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pcut.engine import PCutConfig
 from pcut.errors import InputError, NumericError, ParameterError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
 from pcut.spectral import (SpectralConfig, _fix_signs, _wcss, kmeans, laplacian,
@@ -229,6 +230,14 @@ class TestSpectralClustering:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ParameterError):
             SpectralConfig(K=1)
+
+    @pytest.mark.parametrize("config", [SpectralConfig, PCutConfig])
+    def test_configs_share_the_k_and_variant_messages(self, config):
+        with pytest.raises(ParameterError, match=r"^cluster count must be >= 2, got 1$"):
+            config(K=1)
+        with pytest.raises(ParameterError,
+                           match=r"^variant must be one of \(.*\), got 'rcut'$"):
+            config(K=2, variant="rcut")
 
     @pytest.mark.parametrize("field,match", [
         ("kmeans_restarts", "restarts must be >= 1, got 0"),

@@ -176,6 +176,41 @@ def test_nearly_disconnected_graph_takes_dense_path(crescent_grid):
     assert_bit_identical(normalized_bundle(g, 2), reference_bundle(g, 2))
 
 
+def gate_graphs():
+    """A connected graph above the cutoff, the same graph with five isolated
+    nodes, and one with a second component of two nodes."""
+    g = block_model()
+    u, v, w = g.edge_arrays()
+    return {"connected": (g, True),
+            "isolated": (WeightedGraph.from_arrays(g.n + 5, u, v, w), True),
+            "disconnected": (WeightedGraph.from_arrays(
+                g.n + 2, np.append(u, g.n), np.append(v, g.n + 1), np.append(w, 1.0)),
+                False)}
+
+
+@pytest.mark.parametrize("name", ["connected", "isolated", "disconnected"])
+def test_lanczos_gate_counts_components_of_the_graph(name, monkeypatch, lanczos_calls):
+    # the gate reads graph.connected_components: the positive-degree subgraph
+    # is connected when every other component is an isolated node, as the
+    # csgraph count on the normalized adjacency found
+    g, connected = gate_graphs()[name]
+    active, deg, u, v, w = _active_edges(g)
+    assert active.size > SPARSE_MIN_NODES
+    a = normalized_adjacency(active.size, u, v, w, deg)
+    old = csgraph.connected_components(a, directed=False, return_labels=False) == 1
+    new = connected_components(g).K == g.n - active.size + 1
+    assert old == new == connected
+    built = []
+    real = spectral.normalized_adjacency
+    monkeypatch.setattr(spectral, "normalized_adjacency",
+                        lambda *args: built.append(1) or real(*args))
+    bundle = normalized_bundle(g, 2)
+    # the normalized adjacency is built for a connected subgraph only
+    assert len(built) == len(lanczos_calls) == int(connected)
+    if connected:
+        assert bundle["vecs"] is lanczos_calls[0][1]
+
+
 def test_three_clusters_take_dense_path(graphs, lanczos_calls):
     g = graphs["sbm800"]
     assert_bit_identical(normalized_bundle(g, 3), reference_bundle(g, 3))
