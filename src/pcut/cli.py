@@ -1,5 +1,12 @@
 """Command-line interface: cluster, ssl, synth, eval, experiment.
 
+The CLI only parses. argparse reads each list flag into a tuple, and each
+subcommand, and each synth kind, takes only the options it reads. The run
+rules live in PCutConfig, so library callers get them too: sweep cuts need
+K = 2 clustering, a --graph grid takes no --k-grid or --sigma-exponents,
+ssl takes no flavour, and a sigma exponent lies in [-1022, 1023]. --seed
+(default 0) is the one seed source.
+
 Exit codes: 0 success, 1 input or usage error, 2 no feasible partition,
 3 numeric failure. Reports are JSON with sorted keys; identical inputs and
 seed give byte-identical reports apart from the "timings" block.
@@ -10,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -57,18 +63,6 @@ def _write_report(path: Path, report: dict) -> None:
     _write_json(path, report)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PCUT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"PCUT_SEED={env!r} is not an integer") from exc
-    return 0
-
-
 def _candidate_record(c) -> dict:
     return {
         "params": c.params(),
@@ -80,41 +74,29 @@ def _candidate_record(c) -> dict:
     }
 
 
-# sigma = 2^j d_k, and 2^j is a normal float for these j
-_SIGMA_EXPONENTS = range(sys.float_info.min_exp - 1, sys.float_info.max_exp)
-
-
-def _parse_list(flag: str, text: str, kind=float, allowed=None) -> tuple:
-    """The comma-separated entries of a flag's value as `kind`, each in
-    `allowed` if given; InputError names the flag and any bad entry."""
-    values = []
-    for entry in filter(None, (x.strip() for x in text.split(","))):
-        try:
-            values.append(kind(entry))
-        except ValueError:
-            what = "a number" if kind is float else "an integer"
-            raise InputError(f"{flag} entry {entry!r} is not {what}") from None
-        if allowed is not None and values[-1] not in allowed:
-            raise InputError(f"{flag} entry {entry!r} lies outside "
-                             f"[{allowed[0]}, {allowed[-1]}]")
-    return tuple(values)
+def _parse_list(flag: str, kind=float):
+    """An argparse type reading a flag's comma-separated entries as a tuple
+    of `kind`; InputError names the flag and any bad entry."""
+    def parse(text: str) -> tuple:
+        values = []
+        for entry in filter(None, (x.strip() for x in text.split(","))):
+            try:
+                values.append(kind(entry))
+            except ValueError:
+                what = "a number" if kind is float else "an integer"
+                raise InputError(f"{flag} entry {entry!r} is not {what}") from None
+        return tuple(values)
+    return parse
 
 
 def _build_config(args, task: str, modality: str, K: int) -> PCutConfig:
     kwargs = dict(K=K, task=task, modality=modality, delta=args.delta,
-                  seed=_resolve_seed(args), workers=args.workers)
+                  seed=args.seed, workers=args.workers,
+                  lambda_grid=args.lambda_grid, k_grid=args.k_grid,
+                  sigma_exponents=args.sigma_exponents)
     if task == "clustering":
-        kwargs.update(variant=args.variant, sweep_cuts=args.sweep_cuts)
-        if args.extra_variants:
-            kwargs["extra_variants"] = _parse_list("--extra-variants",
-                                                   args.extra_variants, str)
-    if args.lambda_grid:
-        kwargs["lambda_grid"] = _parse_list("--lambda-grid", args.lambda_grid)
-    if args.k_grid:
-        kwargs["k_grid"] = _parse_list("--k-grid", args.k_grid, int)
-    if args.sigma_exponents:
-        kwargs["sigma_exponents"] = _parse_list(
-            "--sigma-exponents", args.sigma_exponents, int, _SIGMA_EXPONENTS)
+        kwargs.update(variant=args.variant, extra_variants=args.extra_variants,
+                      sweep_cuts=args.sweep_cuts)
     return PCutConfig(**kwargs)
 
 
@@ -154,23 +136,13 @@ def cmd_cluster(args) -> int:
     t0 = time.time()
     if bool(args.features) == bool(args.graph):
         raise InputError("provide exactly one of --features or --graph")
-    if args.sweep_cuts and args.k != 2:
-        # sweep cuts bisect the graph, so a K >= 3 run would echo a flag
-        # that adds no candidate
-        raise InputError(f"--sweep-cuts needs --k 2, got --k {args.k}")
-    for flag, value in (("--k-grid", args.k_grid),
-                        ("--sigma-exponents", args.sigma_exponents)):
-        if args.graph and value is not None:
-            # a network grid spans lambda alone, so the flag would be ignored
-            raise InputError(f"{flag} needs --features: a --graph grid spans "
-                             "lambda only")
+    # the config checks the flags before any input file is read
+    cfg = _build_config(args, "clustering",
+                        "similarity" if args.features else "connectivity", args.k)
     if args.features:
-        data, modality = read_features_csv(args.features), "similarity"
-        inputs = {"features": args.features}
+        data, inputs = read_features_csv(args.features), {"features": args.features}
     else:
-        data, modality = read_edge_list(args.graph), "connectivity"
-        inputs = {"graph": args.graph}
-    cfg = _build_config(args, "clustering", modality, args.k)
+        data, inputs = read_edge_list(args.graph), {"graph": args.graph}
     selected = _run_and_report(args, t0, data, cfg, inputs, {})
     write_labels_csv(Path(args.out) / "partition.csv", selected.partition.assignment)
     print(f"selected {selected.params()} cut={selected.baseline_cut} "
@@ -180,7 +152,6 @@ def cmd_cluster(args) -> int:
 
 def cmd_ssl(args) -> int:
     t0 = time.time()
-    features = read_features_csv(args.features)
     raw_labels = read_labels_csv(args.labels)
     classes = sorted(set(raw_labels.values()))
     if classes != list(range(len(classes))):
@@ -188,6 +159,7 @@ def cmd_ssl(args) -> int:
     K = len(classes)
     labels = LabelSet(labeled=tuple(sorted(raw_labels.items())), K=K)
     cfg = _build_config(args, "ssl", "similarity", K)
+    features = read_features_csv(args.features)
     selected = _run_and_report(
         args, t0, features, cfg, {"features": args.features, "labels": args.labels},
         {"cut_includes_labeled_nodes": True}, labels=labels)
@@ -201,35 +173,29 @@ def cmd_ssl(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "sbm":
-        spec = SbmSpec(n=args.n, alpha=args.alpha, p1=args.p1, p2=args.p2,
-                       q=args.q, equalize_degrees=not args.no_equalize,
-                       seed=seed)
+        # a given p2 is taken as is; without one, p2 equalizes expected degrees
+        spec = SbmSpec(n=args.n, alpha=args.alpha, p1=args.p1, p2=args.p2 or 0.0,
+                       q=args.q, equalize_degrees=args.p2 is None, seed=args.seed)
         g, truth = sbm_generate(spec)
         write_edge_list(out / "graph.edges", g)
         write_labels_csv(out / "truth.csv", truth.assignment)
         print(f"wrote {g.n} nodes, {g.m} edges (blocks {spec.n1}/{spec.n2})")
-    elif args.kind == "mixture":
-        means = [_parse_list("--mean", m) for m in args.mean]
-        covs = [_parse_list("--cov", c) for c in args.cov]
-        weights = _parse_list("--weights", args.weights)
-        if not (len(means) == len(covs) == len(weights)):
+        return 0
+    if args.kind == "mixture":
+        if not (len(args.mean) == len(args.cov) == len(args.weights)):
             raise InputError("--weights, --mean, and --cov counts must agree")
-        f, labels = gaussian_mixture(args.n, list(zip(weights, means, covs)),
-                                     seed=seed)
-        write_features_csv(out / "features.csv", f.x)
-        write_labels_csv(out / "truth.csv", labels)
-        print(f"wrote {f.n} samples in {f.d} dimensions")
-    elif args.kind == "crescents":
-        f, labels = crescent_dataset(args.n, noise=args.noise, seed=seed)
-        write_features_csv(out / "features.csv", f.x)
-        write_labels_csv(out / "truth.csv", labels)
-        print(f"wrote {f.n} samples (two crescents and a blob)")
+        f, labels = gaussian_mixture(
+            args.n, list(zip(args.weights, args.mean, args.cov)), seed=args.seed)
+        shape = f"in {f.d} dimensions"
     else:
-        raise InputError(f"unknown synth kind {args.kind!r}")
+        f, labels = crescent_dataset(args.n, noise=args.noise, seed=args.seed)
+        shape = "(two crescents and a blob)"
+    write_features_csv(out / "features.csv", f.x)
+    write_labels_csv(out / "truth.csv", labels)
+    print(f"wrote {f.n} samples {shape}")
     return 0
 
 
@@ -297,20 +263,21 @@ class _Parser(argparse.ArgumentParser):
 
 # every option, declared once; each subcommand attaches those it reads
 _OPTIONS = {
-    "--seed": dict(type=int, default=None,
-                   help="run seed (overrides PCUT_SEED)"),
+    "--seed": dict(type=int, default=0, help="run seed (default 0)"),
     "--workers": dict(type=int, default=1,
                       help="parallel candidate evaluation"),
     "--delta": dict(type=float, default=0.05,
                     help="minimum cluster fraction (default 0.05)"),
-    "--lambda-grid": dict(default=None, help="comma-separated modulation grid"),
-    "--k-grid": dict(default=None, help="comma-separated neighbor counts"),
-    "--sigma-exponents": dict(default=None,
+    "--lambda-grid": dict(type=_parse_list("--lambda-grid"), default=(),
+                          help="comma-separated modulation grid"),
+    "--k-grid": dict(type=_parse_list("--k-grid", int), default=(),
+                     help="comma-separated neighbor counts"),
+    "--sigma-exponents": dict(type=_parse_list("--sigma-exponents", int), default=(),
                               help="comma-separated powers j for sigma = 2^j d_k"),
     "--variant": dict(default="ncut_rw",
                       help="spectral flavor (rcut_unnormalized, "
                            "ncut_normalized, ncut_rw)"),
-    "--extra-variants": dict(default=None,
+    "--extra-variants": dict(type=_parse_list("--extra-variants", str), default=(),
                              help="additional spectral flavors, comma-separated"),
     "--sweep-cuts": dict(action="store_true",
                          help="also propose minimum-cut sweep partitions (K=2)"),
@@ -346,21 +313,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, *_RUN_OPTIONS)
     p.set_defaults(func=cmd_ssl)
 
-    p = sub.add_parser("synth", help="generate synthetic data files")
-    p.add_argument("kind", choices=["sbm", "mixture", "crescents"])
-    p.add_argument("--out", default="pcut-synth")
-    p.add_argument("--n", type=int, default=500)
+    kinds = sub.add_parser("synth", help="generate synthetic data files"
+                           ).add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("sbm", help="two-block stochastic block model")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--p1", type=float, default=0.2)
-    p.add_argument("--p2", type=float, default=0.0)
+    p.add_argument("--p2", type=float, default=None,
+                   help="second block's edge probability (default: equalize "
+                        "expected degrees)")
     p.add_argument("--q", type=float, default=0.03)
-    p.add_argument("--no-equalize", action="store_true")
+    p = kinds.add_parser("mixture", help="Gaussian mixture")
+    p.add_argument("--weights", type=_parse_list("--weights"), default=(0.5, 0.5))
+    p.add_argument("--mean", type=_parse_list("--mean"), action="append", default=[])
+    p.add_argument("--cov", type=_parse_list("--cov"), action="append", default=[])
+    p = kinds.add_parser("crescents", help="two crescents and a blob")
     p.add_argument("--noise", type=float, default=0.08)
-    p.add_argument("--weights", default="0.5,0.5")
-    p.add_argument("--mean", action="append", default=[])
-    p.add_argument("--cov", action="append", default=[])
-    _add_options(p, "--seed")
-    p.set_defaults(func=cmd_synth)
+    for p in kinds.choices.values():
+        p.add_argument("--out", default="pcut-synth")
+        p.add_argument("--n", type=int, default=500)
+        _add_options(p, "--seed")
+        p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score found labels against ground truth")
     p.add_argument("--found", required=True)
@@ -405,15 +377,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(
             _join_number_lists(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
-    except NoFeasiblePartitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (PCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return (2 if isinstance(exc, NoFeasiblePartitionError)
+                else 3 if isinstance(exc, NumericError) else 1)
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -80,6 +81,15 @@ def mix_seed(seed: int, index: int) -> int:
 class PCutConfig:
     """Grid, constraint, and black-box configuration for one run.
 
+    A configuration that would run work it does not echo, or echo work it
+    does not run, raises ParameterError naming the field and its value:
+    - sweep_cuts outside K = 2 clustering: the sweep bisects the graph;
+    - extra_variants with task "ssl": harmonic propagation has no flavour;
+    - k_grid or sigma_exponents with the connectivity modality: a network
+      grid spans lambda alone;
+    - a sigma exponent j outside [-1022, 1023]: sigma = 2^j d_k, and 2^j
+      is a normal float only for these j.
+
     A grid entry named twice, in lambda_grid, k_grid or sigma_exponents,
     runs once; each grid keeps its distinct entries in first-occurrence
     order. The k-means restart and iteration counts are fixed constants.
@@ -94,7 +104,7 @@ class PCutConfig:
     sigma_exponents: tuple = ()
     variant: str = "ncut_rw"              # spectral flavor of the SC black box
     extra_variants: tuple = ()            # additional k-means flavors per grid point
-    sweep_cuts: bool = False              # add min-cut sweep candidates (K=2 only)
+    sweep_cuts: bool = False              # add min-cut sweep candidates
     seed: int = 0
     workers: int = 1
     kmeans_restarts: ClassVar[int] = 10
@@ -108,6 +118,23 @@ class PCutConfig:
             raise ParameterError(f"unknown modality {self.modality!r}")
         if not 0.0 < self.delta <= 0.5:
             raise ParameterError(f"delta must lie in (0, 0.5], got {self.delta}")
+        if self.sweep_cuts and (self.task, self.K) != ("clustering", 2):
+            raise ParameterError("sweep_cuts needs K = 2 clustering, got "
+                                 f"task {self.task!r} with K = {self.K}")
+        if self.extra_variants and self.task == "ssl":
+            raise ParameterError("extra_variants needs task 'clustering', got "
+                                 f"{self.extra_variants!r} with task 'ssl'")
+        for grid in ("k_grid", "sigma_exponents"):
+            if getattr(self, grid) and self.modality == "connectivity":
+                raise ParameterError(
+                    f"{grid} needs the similarity modality, got "
+                    f"{getattr(self, grid)!r}: a connectivity grid spans "
+                    "lambda only")
+        lo, hi = sys.float_info.min_exp - 1, sys.float_info.max_exp - 1
+        for j in self.sigma_exponents:
+            if not lo <= j <= hi:
+                raise ParameterError(
+                    f"sigma_exponents entry {j!r} lies outside [{lo}, {hi}]")
         # a flavor or grid entry named twice, or the main variant named
         # again, is run once
         object.__setattr__(self, "extra_variants", tuple(
@@ -246,7 +273,7 @@ def _clustering_chunk(chunk, build_graphs, cfg, min_side):
                                     cfg.K, variant, graph.n)
                     for _, variant in flavors]
             sweep = None
-            if cfg.sweep_cuts and cfg.K == 2:
+            if cfg.sweep_cuts:
                 sweep = sweep_from_bundle(bundle(True), graph.n, min_side)
         embeddings += rows
         seeds += [mix_seed(cfg.seed, grid_index)] * len(flavors)

@@ -132,32 +132,37 @@ class SpectralConfig:
                         "k-means iterations": self.kmeans_max_iters})
 
 
-def check_k_and_variants(K: int, variants) -> None:
-    """Raise ParameterError unless K >= 2 and every variant is in VARIANTS."""
-    if K < 2:
-        raise ParameterError(f"cluster count must be >= 2, got {K}")
+def check_variants(variants) -> None:
+    """Raise ParameterError naming the first variant not in VARIANTS."""
     for v in variants:
         if v not in VARIANTS:
             raise ParameterError(f"variant must be one of {VARIANTS}, got {v!r}")
 
 
+def check_k_and_variants(K: int, variants) -> None:
+    """Raise ParameterError unless K >= 2 and every variant is in VARIANTS."""
+    if K < 2:
+        raise ParameterError(f"cluster count must be >= 2, got {K}")
+    check_variants(variants)
+
+
 def laplacian(g: WeightedGraph, variant: str = "rcut_unnormalized") -> np.ndarray:
     """Graph Laplacian; the normalized form puts 0 on isolated diagonals."""
+    check_variants((variant,))
     return _laplacian(g.weight_matrix(), variant)
 
 
 def _laplacian(w: np.ndarray, variant: str) -> np.ndarray:
+    """The Laplacian of dense weights `w`; `variant` is one of VARIANTS."""
     d = w.sum(axis=1)
     if variant == "rcut_unnormalized":
         lap = -w.copy()
         np.fill_diagonal(lap, d)
         return lap
-    if variant in ("ncut_normalized", "ncut_rw"):
-        inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-        lap = -w * inv_sqrt[:, None] * inv_sqrt[None, :]
-        np.fill_diagonal(lap, np.where(d > 0, 1.0, 0.0))
-        return lap
-    raise ParameterError(f"variant must be one of {VARIANTS}")
+    inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    lap = -w * inv_sqrt[:, None] * inv_sqrt[None, :]
+    np.fill_diagonal(lap, np.where(d > 0, 1.0, 0.0))
+    return lap
 
 
 def _fix_signs(vecs: np.ndarray) -> None:
@@ -717,8 +722,7 @@ def _embedding_rows(bundle, K: int, variant: str, n: int) -> np.ndarray:
 
 def spectral_embedding(g: WeightedGraph, K: int, variant: str) -> np.ndarray:
     """Rows of the K smallest eigenvectors; zero rows for isolated nodes."""
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}")
+    check_variants((variant,))
     bundle = spectral_bundle(g, K, variant != "rcut_unnormalized")
     return _embedding_rows(bundle, K, variant, g.n)
 

@@ -15,7 +15,7 @@ from pcut.io import read_labels_csv, write_edge_list, write_features_csv, write_
 from pcut.graph import DENSE_MAX_NODES, WeightedGraph
 from pcut.reports import validate_report
 from pcut.spectral import VARIANTS
-from pcut.synth import crescent_dataset, gaussian_mixture
+from pcut.synth import SbmSpec, crescent_dataset, gaussian_mixture, sbm_generate
 
 
 def two_cliques_file(tmp_path, size=6):
@@ -146,7 +146,9 @@ class TestClusterCommand:
         code = main(["cluster", "--graph", str(path), "--k", "3", "--sweep-cuts",
                      "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "--sweep-cuts needs --k 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: sweep_cuts needs K = 2 clustering, got task 'clustering' "
+            "with K = 3\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags, flag", [
@@ -155,13 +157,17 @@ class TestClusterCommand:
         (["--sigma-exponents", "0"], "--sigma-exponents"),
     ])
     def test_graph_run_rejects_feature_grid_flags(self, tmp_path, capsys, flags, flag):
-        # a network grid spans lambda alone; the flag would be ignored
-        path, _ = two_cliques_file(tmp_path)
+        # a network grid spans lambda alone; the flag would be ignored. The
+        # config rejects the first such field, before the graph file is read
+        path = tmp_path / "missing.edges"
         code = main(["cluster", "--graph", str(path), "--k", "2", *flags,
                      "--out", str(tmp_path / "o")])
         assert code == 1
+        field = flag.lstrip("-").replace("-", "_")
+        value = tuple(map(int, flags[flags.index(flag) + 1].split(",")))
         assert capsys.readouterr().err == (
-            f"error: {flag} needs --features: a --graph grid spans lambda only\n")
+            f"error: {field} needs the similarity modality, got {value!r}: a "
+            "connectivity grid spans lambda only\n")
         assert not (tmp_path / "o").exists()
 
     def test_repeated_grid_entries_run_once(self, tmp_path):
@@ -182,19 +188,17 @@ class TestClusterCommand:
         assert twice["candidates"] == once["candidates"]
         assert twice["manifest"] == once["manifest"]
 
-    def test_env_seed_used_and_overridden(self, tmp_path, monkeypatch):
+    def test_seed_flag_is_the_one_seed_source(self, tmp_path, monkeypatch):
+        # the environment does not reach the run; --seed defaults to 0
         path, _ = two_cliques_file(tmp_path)
         monkeypatch.setenv("PCUT_SEED", "5")
-        out1 = tmp_path / "env"
-        assert main(["cluster", "--graph", str(path), "--k", "2",
-                     "--delta", "0.2", "--out", str(out1)]) == 0
-        report = json.loads((out1 / "report.json").read_text())
-        assert report["manifest"]["seed"] == 5
-        out2 = tmp_path / "flag"
-        assert main(["cluster", "--graph", str(path), "--k", "2",
-                     "--delta", "0.2", "--out", str(out2), "--seed", "6"]) == 0
-        report2 = json.loads((out2 / "report.json").read_text())
-        assert report2["manifest"]["seed"] == 6
+        seeds = []
+        for name, flags in (("default", []), ("flag", ["--seed", "6"])):
+            out = tmp_path / name
+            assert main(["cluster", "--graph", str(path), "--k", "2",
+                         "--delta", "0.2", "--out", str(out), *flags]) == 0
+            seeds.append(json.loads((out / "report.json").read_text())["manifest"]["seed"])
+        assert seeds == [0, 6]
 
 
 class TestSslCommand:
@@ -352,6 +356,32 @@ class TestSynthAndEval:
         assert code == 0
         assert (out / "features.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["crescents", "--alpha", "0.1"],
+        ["sbm", "--noise", "0.1"],
+        ["mixture", "--p2", "0.1"],
+    ])
+    def test_kind_rejects_another_kinds_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            f"error: unrecognized arguments: {' '.join(argv[1:])}"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sbm_p2_selects_an_unequalized_model(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["synth", "sbm", "--n", "200", "--alpha", "0.2", "--p1", "0.3",
+                     "--p2", "0.05", "--q", "0.02", "--seed", "1",
+                     "--out", str(out)]) == 0
+        g, truth = sbm_generate(SbmSpec(n=200, alpha=0.2, p1=0.3, p2=0.05, q=0.02,
+                                        equalize_degrees=False, seed=1))
+        write_edge_list(tmp_path / "want.edges", g)
+        write_labels_csv(tmp_path / "want.csv", truth.assignment)
+        assert (out / "graph.edges").read_bytes() == (tmp_path / "want.edges").read_bytes()
+        assert (out / "truth.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_mismatched_eval_nodes_exit_1(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -381,9 +411,8 @@ class TestExperimentCommand:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_crescents_preset_writes_outputs(self, tmp_path, monkeypatch):
-        # presets fix their own seeds, so PCUT_SEED reaches no manifest
-        monkeypatch.setenv("PCUT_SEED", "5")
+    def test_crescents_preset_writes_outputs(self, tmp_path):
+        # presets fix their own seeds, which no manifest echoes
         out = tmp_path / "exp"
         code = main(["experiment", "crescents", "--out", str(out)])
         assert code == 0
@@ -415,9 +444,9 @@ class TestNumberLists:
         (["--sigma-exponents", "1.5"], "--sigma-exponents entry '1.5' is not an integer"),
         # 2.0 ** 2000 overflows a float, and 2.0 ** -2000 is 0
         (["--sigma-exponents", "0,2000"],
-         "--sigma-exponents entry '2000' lies outside [-1022, 1023]"),
+         "sigma_exponents entry 2000 lies outside [-1022, 1023]"),
         (["--sigma-exponents", "-2000"],
-         "--sigma-exponents entry '-2000' lies outside [-1022, 1023]"),
+         "sigma_exponents entry -2000 lies outside [-1022, 1023]"),
         (["--extra-variants", "ncut_normalized, ncut_foo"],
          f"variant must be one of {VARIANTS}, got 'ncut_foo'"),
     ])
@@ -461,7 +490,7 @@ class TestNumberLists:
              "--k", "2", "--out", str(tmp_path / "out"), "--sigma-exponents", "2000"],
             env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 1
-        assert result.stderr == ("error: --sigma-exponents entry '2000' lies "
+        assert result.stderr == ("error: sigma_exponents entry 2000 lies "
                                  "outside [-1022, 1023]\n")
 
     @pytest.mark.parametrize("flag, value, key, want", [
@@ -474,15 +503,15 @@ class TestNumberLists:
     def test_grid_list_may_start_with_a_minus(self, flag, value, key, want, form):
         # in both forms the whole value reaches the list parser
         argv = [flag, value] if form == "space" else [f"{flag}={value}"]
-        args = cli.build_parser().parse_args(cli._join_number_lists(
-            ["cluster", "--features", "f.csv", "--k", "2", *argv]))
-        assert getattr(args, key) == value
+
+        def parse():
+            return cli.build_parser().parse_args(cli._join_number_lists(
+                ["cluster", "--features", "f.csv", "--k", "2", *argv]))
         if want is None:
             with pytest.raises(InputError, match="is not an integer"):
-                cli._parse_list(flag, value, int)
+                parse()
         else:
-            kind = float if flag == "--lambda-grid" else int
-            assert cli._parse_list(flag, value, kind) == want
+            assert getattr(parse(), key) == want
 
     @pytest.mark.parametrize("form", ("space", "equals"))
     def test_ssl_run_takes_negative_sigma_exponents(self, form, tmp_path):
@@ -531,45 +560,57 @@ class TestNumberLists:
             "--delta", "--lambda-grid", "x"]
 
     def test_spaces_and_empty_entries_are_skipped(self):
-        assert cli._parse_list("--k-grid", " 5, ,10,", int) == (5, 10)
-        assert cli._parse_list("--sigma-exponents", "-1022,1023", int,
-                               cli._SIGMA_EXPONENTS) == (-1022, 1023)
         args = cli.build_parser().parse_args(
-            ["cluster", "--features", "f.csv", "--k", "2", "--variant", "rcut_unnormalized",
+            ["cluster", "--features", "f.csv", "--k", "2", "--k-grid", " 5, ,10,",
+             "--sigma-exponents=-1022,1023", "--variant", "rcut_unnormalized",
              "--extra-variants", " ncut_normalized, ,ncut_rw,"])
+        assert args.k_grid == (5, 10)
         cfg = cli._build_config(args, "clustering", "similarity", 2)
+        assert cfg.sigma_exponents == (-1022, 1023)
         assert cfg.extra_variants == ("ncut_normalized", "ncut_rw")
 
 
-# every option each subcommand reads, and no other: 43 settable values
+# every option each subcommand, and each synth kind, reads, and no other
 SUBCOMMAND_OPTIONS = {
     "cluster": {"--features", "--graph", "--k", "--out", "--seed", "--workers",
                 "--delta", "--lambda-grid", "--k-grid", "--sigma-exponents",
                 "--variant", "--extra-variants", "--sweep-cuts"},
     "ssl": {"--features", "--labels", "--out", "--seed", "--workers", "--delta",
             "--lambda-grid", "--k-grid", "--sigma-exponents"},
-    "synth": {"kind", "--out", "--n", "--alpha", "--p1", "--p2", "--q",
-              "--no-equalize", "--noise", "--weights", "--mean", "--cov",
-              "--seed"},
+    "synth": {"kind"},
+    "synth sbm": {"--out", "--n", "--seed", "--alpha", "--p1", "--p2", "--q"},
+    "synth mixture": {"--out", "--n", "--seed", "--weights", "--mean", "--cov"},
+    "synth crescents": {"--out", "--n", "--seed", "--noise"},
     "eval": {"--found", "--truth", "--out"},
     "experiment": {"name", "--out", "--seeds", "--samplings", "--workers"},
 }
 
 
-class TestParser:
-    def subparsers(self):
-        parser = cli.build_parser()
-        action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-        return action.choices
+def _subparsers(parser, prefix=""):
+    """{command: parser} of every subcommand, nested ones as "synth sbm"."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, p in action.choices.items():
+                out[prefix + name] = p
+                out.update(_subparsers(p, f"{prefix}{name} "))
+    return out
 
+
+class TestParser:
     def test_each_subcommand_has_exactly_the_options_it_reads(self):
         found = {name: {a.option_strings[0] if a.option_strings else a.dest
                         for a in p._actions
                         if not isinstance(a, argparse._HelpAction)}
-                 for name, p in self.subparsers().items()}
+                 for name, p in _subparsers(cli.build_parser()).items()}
         assert found == SUBCOMMAND_OPTIONS
-        assert sum(len(v) for v in found.values()) == 43
+
+    def test_each_synth_kind_takes_only_its_own_options(self):
+        # the shared --out, --n and --seed, and the kind's model flags
+        parsers = _subparsers(cli.build_parser())
+        assert [sum(not isinstance(a, argparse._HelpAction)
+                    for a in parsers[f"synth {kind}"]._actions)
+                for kind in ("sbm", "mixture", "crescents")] == [7, 6, 4]
 
     @pytest.mark.parametrize("argv, message", [
         (["cluster", "--graph", "g.edges"],
@@ -593,6 +634,6 @@ class TestParser:
     @pytest.mark.parametrize("command", [None, *SUBCOMMAND_OPTIONS])
     def test_help_exits_0(self, command, capsys):
         with pytest.raises(SystemExit) as info:
-            main(([command] if command else []) + ["--help"])
+            main((command.split() if command else []) + ["--help"])
         assert info.value.code == 0
         assert "usage:" in capsys.readouterr().out

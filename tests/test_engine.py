@@ -137,6 +137,41 @@ class TestGenerateCandidates:
         assert cfg.k_grid == (10, 5)
         assert cfg.sigma_exponents == (0, -1)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        # the sweep bisects the graph
+        (dict(K=3, sweep_cuts=True),
+         r"^sweep_cuts needs K = 2 clustering, got task 'clustering' with K = 3$"),
+        (dict(K=2, task="ssl", sweep_cuts=True),
+         r"^sweep_cuts needs K = 2 clustering, got task 'ssl' with K = 2$"),
+        # harmonic propagation has no spectral flavour
+        (dict(K=2, task="ssl", extra_variants=("ncut_normalized",)),
+         r"^extra_variants needs task 'clustering', got \('ncut_normalized',\) "
+         r"with task 'ssl'$"),
+        # a network grid spans lambda alone
+        (dict(K=2, modality="connectivity", k_grid=(5, 7)),
+         r"^k_grid needs the similarity modality, got \(5, 7\): a connectivity "
+         r"grid spans lambda only$"),
+        (dict(K=2, modality="connectivity", sigma_exponents=(0,)),
+         r"^sigma_exponents needs the similarity modality, got \(0,\): a "
+         r"connectivity grid spans lambda only$"),
+        # 2.0 ** j is a normal float only for j in [-1022, 1023]
+        (dict(K=2, sigma_exponents=(0, 1024)),
+         r"^sigma_exponents entry 1024 lies outside \[-1022, 1023\]$"),
+        (dict(K=2, sigma_exponents=(-1023,)),
+         r"^sigma_exponents entry -1023 lies outside \[-1022, 1023\]$"),
+    ], ids=["sweep-at-K3", "sweep-in-ssl", "flavour-in-ssl", "network-k-grid",
+            "network-sigma-grid", "sigma-above-range", "sigma-below-range"])
+    def test_config_rejects_work_it_would_not_run(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            PCutConfig(**kwargs)
+
+    def test_huge_sigma_exponent_raises_parameter_error(self):
+        # 2.0 ** 5000 would overflow inside the grid
+        f, _ = gaussian_mixture(
+            30, [(0.5, [0.0], [0.2]), (0.5, [4.0], [0.2])], seed=31)
+        with pytest.raises(ParameterError, match="entry 5000 lies outside"):
+            generate_candidates(f, PCutConfig(K=2, k_grid=(5,), sigma_exponents=(5000,)))
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_must_be_positive(self, workers):
         with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):

@@ -8,7 +8,8 @@ from pcut.errors import InputError, NumericError, ParameterError
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
 from pcut.spectral import (SpectralConfig, _fix_signs, _wcss, kmeans, laplacian,
                            normalized_bundle, smallest_eigenvectors,
-                           spectral_clustering, sweep_from_bundle)
+                           spectral_clustering, spectral_embedding,
+                           sweep_from_bundle)
 
 
 def clique_edges(nodes):
@@ -238,6 +239,16 @@ class TestSpectralClustering:
         with pytest.raises(ParameterError,
                            match=r"^variant must be one of \(.*\), got 'rcut'$"):
             config(K=2, variant="rcut")
+
+    @pytest.mark.parametrize("call", [
+        lambda g: spectral_embedding(g, 2, "rcut"),
+        lambda g: laplacian(g, "rcut"),
+    ], ids=["spectral_embedding", "laplacian"])
+    def test_functions_name_the_bad_variant(self, call):
+        g = WeightedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ParameterError,
+                           match=r"^variant must be one of \(.*\), got 'rcut'$"):
+            call(g)
 
     @pytest.mark.parametrize("field,match", [
         ("kmeans_restarts", "restarts must be >= 1, got 0"),

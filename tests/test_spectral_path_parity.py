@@ -221,7 +221,8 @@ def crescent_grid(K, instance):
 
 def rcut_network(name, K):
     g, _ = load_bundled_network(name)
-    cfg = pcut.PCutConfig(K=K, modality="connectivity", delta=0.05, sweep_cuts=True,
+    # the sweep bisects, so it runs at K = 2 only
+    cfg = pcut.PCutConfig(K=K, modality="connectivity", delta=0.05, sweep_cuts=(K == 2),
                           variant="rcut_unnormalized",
                           extra_variants=("ncut_rw", "ncut_normalized"))
     return g, cfg
