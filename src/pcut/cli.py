@@ -1,10 +1,11 @@
 """Command-line interface: cluster, ssl, synth, eval, experiment.
 
 The CLI only parses. argparse reads each list flag into a tuple, and each
-subcommand, and each synth kind, takes only the options it reads. The run
-rules live in PCutConfig, so library callers get them too: sweep cuts need
-K = 2 clustering, a --graph grid takes no --k-grid or --sigma-exponents,
-ssl takes no flavour, and a sigma exponent lies in [-1022, 1023]. --seed
+subcommand, synth kind and experiment preset (whose flags are its keywords)
+takes only the options it reads. The run rules live in PCutConfig, so
+library callers get them too: sweep cuts need K = 2 clustering, a --graph
+grid takes no --k-grid or --sigma-exponents, ssl takes no flavour, and a
+lambda lies in [0, 1] and a sigma exponent in [-1022, 1023]. --seed
 (default 0) is the one seed source.
 
 Exit codes: 0 success, 1 input or usage error, 2 no feasible partition,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -29,7 +31,7 @@ from .engine import PCutConfig, generate_candidates, pcut_select
 from .errors import (InputError, NoFeasiblePartitionError, NumericError,
                      PCutError)
 from .evaluation import clustering_error
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import PRESETS
 from .graph import Partition
 from .io import (file_digest, read_edge_list, read_features_csv,
                  read_labels_csv, write_edge_list, write_features_csv,
@@ -134,8 +136,6 @@ def _run_and_report(args, t0: float, data, cfg: PCutConfig, inputs: dict,
 
 def cmd_cluster(args) -> int:
     t0 = time.time()
-    if bool(args.features) == bool(args.graph):
-        raise InputError("provide exactly one of --features or --graph")
     # the config checks the flags before any input file is read
     cfg = _build_config(args, "clustering",
                         "similarity" if args.features else "connectivity", args.k)
@@ -173,13 +173,14 @@ def cmd_ssl(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # the data is drawn before --out is made, so a bad model writes nothing
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "sbm":
         # a given p2 is taken as is; without one, p2 equalizes expected degrees
         spec = SbmSpec(n=args.n, alpha=args.alpha, p1=args.p1, p2=args.p2 or 0.0,
                        q=args.q, equalize_degrees=args.p2 is None, seed=args.seed)
         g, truth = sbm_generate(spec)
+        out.mkdir(parents=True, exist_ok=True)
         write_edge_list(out / "graph.edges", g)
         write_labels_csv(out / "truth.csv", truth.assignment)
         print(f"wrote {g.n} nodes, {g.m} edges (blocks {spec.n1}/{spec.n2})")
@@ -193,6 +194,7 @@ def cmd_synth(args) -> int:
     else:
         f, labels = crescent_dataset(args.n, noise=args.noise, seed=args.seed)
         shape = "(two crescents and a blob)"
+    out.mkdir(parents=True, exist_ok=True)
     write_features_csv(out / "features.csv", f.x)
     write_labels_csv(out / "truth.csv", labels)
     print(f"wrote {f.n} samples {shape}")
@@ -225,14 +227,14 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     t0 = time.time()
-    # the worker count does not change the work, so only the counts reach
-    # the manifest
-    counts = {key: value for key, value in (("n_seeds", args.seeds),
-                                            ("n_samplings", args.samplings))
-              if value is not None}
-    workers = {} if args.workers is None else {"workers": args.workers}
+    preset = PRESETS[args.name]
+    # a preset flag that is not given is absent from args
+    overrides = {key: getattr(args, key)
+                 for key in inspect.signature(preset).parameters if key in args}
     out = Path(args.out)
-    summary = run_experiment(args.name, out_dir=out, **counts, **workers)
+    summary = preset(out, **overrides)
+    # the worker count does not change the work, so only counts reach the manifest
+    counts = {key: value for key, value in overrides.items() if key != "workers"}
     # each preset fixes its own seeds, which the summary records
     manifest = _manifest(f"experiment:{args.name}", {"overrides": counts}, {}, 0)
     report = {"manifest": manifest, "summary": summary,
@@ -299,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="grid-search clustering")
-    p.add_argument("--features", help="feature CSV (similarity modality)")
-    p.add_argument("--graph", help="edge list (connectivity modality)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--features", help="feature CSV (similarity modality)")
+    source.add_argument("--graph", help="edge list (connectivity modality)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--out", default="pcut-out", help="output directory")
     _add_options(p, *_RUN_OPTIONS, "--variant", "--extra-variants", "--sweep-cuts")
@@ -340,16 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("experiment", help="run a bundled experiment preset")
-    p.add_argument("name", choices=EXPERIMENTS)
-    p.add_argument("--out", default="pcut-experiment")
-    p.add_argument("--seeds", type=int, default=None,
-                   help="override the number of seeds (sbm presets)")
-    p.add_argument("--samplings", type=int, default=None,
-                   help="override the number of samplings (dolphins)")
-    _add_options(p, "--workers")
-    # a preset that takes no workers rejects the flag only when it is given
-    p.set_defaults(func=cmd_experiment, workers=None)
+    presets = sub.add_parser("experiment", help="run a bundled experiment preset"
+                             ).add_subparsers(dest="name", required=True)
+    for name, preset in PRESETS.items():
+        p = presets.add_parser(name, help=preset.__doc__.splitlines()[0])
+        p.add_argument("--out", default="pcut-experiment")
+        # a flag per preset keyword (n_seeds: --seeds), with its default
+        for key, param in list(inspect.signature(preset).parameters.items())[1:]:
+            p.add_argument("--" + key.removeprefix("n_"), dest=key, type=int,
+                           default=argparse.SUPPRESS,
+                           help=f"override {key} (default {param.default})")
+        p.set_defaults(func=cmd_experiment)
     return parser
 
 

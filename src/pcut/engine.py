@@ -87,6 +87,8 @@ class PCutConfig:
     - extra_variants with task "ssl": harmonic propagation has no flavour;
     - k_grid or sigma_exponents with the connectivity modality: a network
       grid spans lambda alone;
+    - a lambda_grid entry outside [0, 1], NaN included: only these lambda
+      mix the plain and rank-scaled neighbour counts, k (lambda + 2 (1-lambda) r);
     - a sigma exponent j outside [-1022, 1023]: sigma = 2^j d_k, and 2^j
       is a normal float only for these j.
 
@@ -130,11 +132,12 @@ class PCutConfig:
                     f"{grid} needs the similarity modality, got "
                     f"{getattr(self, grid)!r}: a connectivity grid spans "
                     "lambda only")
-        lo, hi = sys.float_info.min_exp - 1, sys.float_info.max_exp - 1
-        for j in self.sigma_exponents:
-            if not lo <= j <= hi:
-                raise ParameterError(
-                    f"sigma_exponents entry {j!r} lies outside [{lo}, {hi}]")
+        exps = (sys.float_info.min_exp - 1, sys.float_info.max_exp - 1)
+        for grid, (lo, hi) in (("lambda_grid", (0, 1)), ("sigma_exponents", exps)):
+            for entry in getattr(self, grid):
+                if not lo <= entry <= hi:  # NaN fails both comparisons
+                    raise ParameterError(
+                        f"{grid} entry {entry!r} lies outside [{lo}, {hi}]")
         # a flavor or grid entry named twice, or the main variant named
         # again, is run once
         object.__setattr__(self, "extra_variants", tuple(
@@ -213,9 +216,13 @@ def generate_candidates(data, cfg: PCutConfig,
             raise ParameterError(
                 f"label set has K={labels.K} classes but the config has K={cfg.K}")
     if cfg.modality == "similarity":
-        return _similarity_candidates(as_features(data), cfg, labels)
-    if not isinstance(data, WeightedGraph):
+        data = as_features(data)
+    elif not isinstance(data, WeightedGraph):
         raise InputError("connectivity modality expects a WeightedGraph")
+    if cfg.K > data.n:  # before any n x K array is allocated
+        raise ParameterError(f"need at least K={cfg.K} nodes, got {data.n}")
+    if cfg.modality == "similarity":
+        return _similarity_candidates(data, cfg, labels)
     return _connectivity_candidates(data, cfg, labels)
 
 

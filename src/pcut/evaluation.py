@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import Partition
+from .graph import DENSE_MAX_NODES, Partition
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,19 @@ def clustering_error(found: Partition, truth: Partition) -> ErrorReport:
 
     The matching cost between clusters is |union| - |intersection|; when the
     cluster counts differ, missing clusters act as empty sets, so a cluster
-    matched to nothing counts all of its nodes as errors.
+    matched to nothing counts all of its nodes as errors. More than
+    DENSE_MAX_NODES clusters raise InputError before any allocation.
     """
     if found.n != truth.n:
         raise InputError(f"partitions disagree on n: {found.n} vs {truth.n}")
     n = found.n
     kf, kt = found.K, truth.K
+    size = max(kf, kt)
+    if size > DENSE_MAX_NODES:
+        raise InputError(f"dense s x s matching for s = {size} clusters exceeds "
+                         f"the limit of DENSE_MAX_NODES = {DENSE_MAX_NODES}")
     confusion = np.zeros((kf, kt), dtype=np.int64)
     np.add.at(confusion, (found.assignment, truth.assignment), 1)
-    size = max(kf, kt)
     conf = np.zeros((size, size), dtype=np.int64)
     conf[:kf, :kt] = confusion
     fsizes = conf.sum(axis=1)

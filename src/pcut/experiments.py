@@ -1,16 +1,17 @@
 """Preset experiment runners mirroring the benchmark studies.
 
 Each preset is a fixed study: its sizes and seeds are the module constants
-below, and it takes only the overrides some caller sets. It writes an
-aggregate CSV of means and standard deviations under out_dir and returns a
-summary dict, so tests can gate on it without re-parsing files.
+below, and its keyword parameters are the only overrides it takes (`pcut
+experiment <preset>` reads its flags from them). A count below 1 raises
+ParameterError before any trial. A preset writes an aggregate CSV of means
+and standard deviations under out_dir and returns a summary dict, so tests
+can gate on it without re-parsing files.
 """
 
 from __future__ import annotations
 
 import csv
 import importlib.resources as resources
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -122,10 +123,9 @@ def run_sbm_lambda_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
             "selected_cut": selected.baseline_cut,
         })
         for c in candidates:
-            if c.generator != "sc":
-                continue
-            lam_errors.setdefault(c.lam, []).append(_err(c.partition, truth))
-            lam_cuts.setdefault(c.lam, []).append(c.normalized_cut)
+            if c.generator == "sc":
+                lam_errors.setdefault(c.lam, []).append(_err(c.partition, truth))
+                lam_cuts.setdefault(c.lam, []).append(c.normalized_cut)
     sc = float(np.mean([r["sc_error"] for r in per_seed]))
     pc = float(np.mean([r["pcut_error"] for r in per_seed]))
     _write_csv(out_dir, "sbm_lambda_sweep.csv",
@@ -255,16 +255,14 @@ def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
                 seed=DOLPHINS_BASE_SEED + samp, workers=workers)
             sc_errors.append(_err(plain.partition, truth_obs))
             pc_errors.append(_err(selected.partition, truth_obs))
+        # in the CSV's column order
         per_removal[r] = {
             "mean_sc_error": float(np.mean(sc_errors)),
-            "mean_pcut_error": float(np.mean(pc_errors)),
             "std_sc_error": float(np.std(sc_errors)),
+            "mean_pcut_error": float(np.mean(pc_errors)),
             "std_pcut_error": float(np.std(pc_errors)),
         }
-        rows.append((r, per_removal[r]["mean_sc_error"],
-                     per_removal[r]["std_sc_error"],
-                     per_removal[r]["mean_pcut_error"],
-                     per_removal[r]["std_pcut_error"]))
+        rows.append((r, *per_removal[r].values()))
     _write_csv(out_dir, "dolphins.csv",
                ["removed", "mean_sc_error", "std_sc_error",
                 "mean_pcut_error", "std_pcut_error"], rows)
@@ -308,20 +306,3 @@ PRESETS = {
     "dolphins": run_dolphins,
     "crescents": run_crescents,
 }
-EXPERIMENTS = tuple(PRESETS)
-
-
-def run_experiment(name: str, out_dir=None, **overrides):
-    """Run preset `name`; an override it does not take, or a count below 1
-    (which the preset checks), raises ParameterError."""
-    if name not in PRESETS:
-        raise ParameterError(
-            f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}")
-    preset = PRESETS[name]
-    takes = [p for p in inspect.signature(preset).parameters if p != "out_dir"]
-    for key, value in overrides.items():
-        if key not in takes:
-            raise ParameterError(
-                f"experiment {name!r} does not take {key}; "
-                f"it takes {', '.join(takes) or 'no overrides'}")
-    return preset(out_dir, **overrides)

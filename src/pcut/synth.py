@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import FeatureMatrix
-from .errors import ParameterError
+from .errors import ParameterError, check_counts
 from .graph import Partition, WeightedGraph
 
 # Crescent geometry constants, echoed in experiment reports.
@@ -124,15 +124,18 @@ def gaussian_mixture(n: int, components, seed: int = 0):
     components: list of (weight, mean vector, diagonal covariance vector).
     Returns (FeatureMatrix, component labels).
     """
+    check_counts(n=n)
     weights = np.asarray([c[0] for c in components], dtype=float)
-    if (weights <= 0).any() or abs(weights.sum() - 1.0) > 1e-9:
+    # a NaN or infinite weight fails this test too
+    if not ((weights > 0).all() and abs(weights.sum() - 1.0) <= 1e-9):
         raise ParameterError("component weights must be positive and sum to 1")
     means = [np.atleast_1d(np.asarray(c[1], dtype=float)) for c in components]
     covs = [np.atleast_1d(np.asarray(c[2], dtype=float)) for c in components]
     d = means[0].size
     for m, c in zip(means, covs):
-        if m.size != d or c.size != d or (c < 0).any():
-            raise ParameterError("component shapes disagree or covariance < 0")
+        if d == 0 or m.size != d or c.size != d or (c < 0).any():
+            raise ParameterError("component shapes are empty or disagree, or "
+                                 "covariance < 0")
     counts = stream(seed, "mixture-counts").multinomial(n, weights)
     rng = stream(seed, "mixture-draws")
     xs, labels = [], []
@@ -159,8 +162,8 @@ def crescent_dataset(n: int, fractions=(0.45, 0.45, 0.10), noise: float = 0.08,
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) <= 0:
         raise ParameterError("fractions must be three positive values summing to 1")
-    if noise < 0:
-        raise ParameterError("noise must be nonnegative")
+    if not 0.0 <= noise < np.inf:
+        raise ParameterError(f"noise must be finite and nonnegative, got {noise}")
     n1 = _round_half_up(fractions[0] * n)
     n2 = _round_half_up(fractions[1] * n)
     n3 = n - n1 - n2

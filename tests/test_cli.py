@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,10 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pcut import cli
 from pcut.cli import main
 from pcut.errors import InputError
+from pcut.experiments import data_path
 from pcut.io import read_labels_csv, write_edge_list, write_features_csv, write_labels_csv
 from pcut.graph import DENSE_MAX_NODES, WeightedGraph
 from pcut.reports import validate_report
@@ -68,6 +74,17 @@ class TestClusterCommand:
             f"error: dense n x n storage for n = {n} nodes exceeds the limit "
             f"of DENSE_MAX_NODES = {DENSE_MAX_NODES} nodes"]
         assert peak < 8 * n * n // 16
+
+    def test_more_clusters_than_nodes_exits_1(self, tmp_path, capsys):
+        # the engine refuses K > n before it allocates the n x K embedding
+        path, _ = two_cliques_file(tmp_path)
+        out = tmp_path / "o"
+        code = main(["cluster", "--graph", str(path), "--k", str(10 ** 12),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: need at least K=1000000000000 nodes, got 12\n")
+        assert not out.exists()
 
     def test_no_feasible_exits_2(self, tmp_path):
         path, _ = two_cliques_file(tmp_path, size=3)
@@ -169,6 +186,20 @@ class TestClusterCommand:
             f"error: {field} needs the similarity modality, got {value!r}: a "
             "connectivity grid spans lambda only\n")
         assert not (tmp_path / "o").exists()
+
+    def test_lambda_outside_unit_interval_exits_before_reading(self, tmp_path,
+                                                               monkeypatch, capsys):
+        # the config checks the lambda range, so the graph is never read
+        reads = []
+        monkeypatch.setattr(cli, "read_edge_list", reads.append)
+        out = tmp_path / "o"
+        code = main(["cluster", "--graph", str(data_path("karate.edges")), "--k", "2",
+                     "--lambda-grid", "5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: lambda_grid entry 5.0 lies outside [0, 1]\n")
+        assert reads == []
+        assert not out.exists()
 
     def test_repeated_grid_entries_run_once(self, tmp_path):
         # the manifest echoes each grid entry once, so the same work gets
@@ -382,12 +413,46 @@ class TestSynthAndEval:
         assert (out / "graph.edges").read_bytes() == (tmp_path / "want.edges").read_bytes()
         assert (out / "truth.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sbm", "--n", "50", "--alpha", "0.9"], "alpha must lie in (0, 0.5], got 0.9"),
+        (["mixture", "--n", "0", "--weights", "1", "--mean", "0", "--cov", "1"],
+         "n must be >= 1, got 0"),
+        (["mixture", "--weights", "nan", "--mean", "0", "--cov", "1"],
+         "component weights must be positive and sum to 1"),
+        (["mixture", "--weights", "1", "--mean", "", "--cov", ""],
+         "component shapes are empty or disagree, or covariance < 0"),
+        (["crescents", "--noise", "nan"], "noise must be finite and nonnegative, got nan"),
+    ], ids=["sbm-alpha", "mixture-no-samples", "mixture-nan-weight",
+            "mixture-empty-mean", "crescents-nan-noise"])
+    def test_failing_model_writes_nothing(self, argv, message, tmp_path, capsys):
+        # the data is drawn before --out is made
+        out = tmp_path / "s"
+        assert main(["synth", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_eval_refuses_a_matching_it_cannot_hold(self, tmp_path, capsys):
+        # a class id of 10^6 asks for a (10^6 + 1)^2 confusion matrix
+        write_labels_csv(tmp_path / "found.csv", {0: 0, 1: 1_000_000})
+        write_labels_csv(tmp_path / "truth.csv", {0: 0, 1: 1})
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--found", str(tmp_path / "found.csv"),
+                     "--truth", str(tmp_path / "truth.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dense s x s matching for s = 1000001 clusters exceeds the "
+            f"limit of DENSE_MAX_NODES = {DENSE_MAX_NODES}\n")
+        assert not out.exists()
+
     def test_mismatched_eval_nodes_exit_1(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         write_labels_csv(a, {0: 0, 1: 1})
         write_labels_csv(b, {0: 0, 2: 1})
         assert main(["eval", "--found", str(a), "--truth", str(b)]) == 1
+
+
+def error_lines(err: str) -> list:
+    return [line for line in err.splitlines() if line.startswith("error: ")]
 
 
 class TestExperimentCommand:
@@ -398,17 +463,17 @@ class TestExperimentCommand:
         assert "karate" in err and "dolphins" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["karate", "--seeds", "2"],
-         "experiment 'karate' does not take n_seeds; it takes workers"),
-        (["crescents", "--workers", "2"],
-         "experiment 'crescents' does not take workers; it takes no overrides"),
+        (["karate", "--seeds", "2"], "unrecognized arguments: --seeds 2"),
+        (["crescents", "--workers", "2"], "unrecognized arguments: --workers 2"),
     ])
     def test_override_the_preset_does_not_take_exits_1(self, argv, message,
                                                        tmp_path, capsys):
+        # each preset's parser takes only the preset's own keywords
         out = tmp_path / "exp"
         assert main(["experiment", *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert error_lines(err) == [f"error: {message}"]
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_crescents_preset_writes_outputs(self, tmp_path):
@@ -427,7 +492,11 @@ class TestExperimentCommand:
         # a summary far longer than one line stays whole in the file, and
         # stdout names that file and nothing else
         summary = {"per_seed": [{"seed": s, "error": s / 7} for s in range(500)]}
-        monkeypatch.setattr(cli, "run_experiment", lambda name, **kw: summary)
+
+        def preset(out_dir=None, n_seeds=20, workers=1):
+            """A stand-in with the sweep's keywords."""
+            return summary
+        monkeypatch.setitem(cli.PRESETS, "sbm-lambda-sweep", preset)
         out = tmp_path / "exp"
         assert main(["experiment", "sbm-lambda-sweep", "--out", str(out)]) == 0
         path = out / "sbm-lambda-sweep.json"
@@ -582,7 +651,12 @@ SUBCOMMAND_OPTIONS = {
     "synth mixture": {"--out", "--n", "--seed", "--weights", "--mean", "--cov"},
     "synth crescents": {"--out", "--n", "--seed", "--noise"},
     "eval": {"--found", "--truth", "--out"},
-    "experiment": {"name", "--out", "--seeds", "--samplings", "--workers"},
+    "experiment": {"name"},
+    "experiment sbm-lambda-sweep": {"--out", "--seeds", "--workers"},
+    "experiment sbm-alpha-sweep": {"--out", "--seeds", "--workers"},
+    "experiment karate": {"--out", "--workers"},
+    "experiment dolphins": {"--out", "--samplings", "--workers"},
+    "experiment crescents": {"--out"},
 }
 
 
@@ -624,6 +698,17 @@ class TestParser:
          "unrecognized arguments: --variant ncut_rw"),
         (["experiment", "karate", "--seed", "5"], "unrecognized arguments: --seed 5"),
         (["synth", "sbm", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        # --features and --graph are one required choice
+        (["cluster", "--k", "2"], "one of the arguments --features --graph is required"),
+        (["cluster", "--features", "f.csv", "--graph", "g.edges", "--k", "2"],
+         "argument --graph: not allowed with argument --features"),
+        # each preset takes only its own keywords, and the name is a choice
+        (["experiment", "crescents", "--samplings", "2"],
+         "unrecognized arguments: --samplings 2"),
+        (["experiment", "dolphins", "--seeds", "2"], "unrecognized arguments: --seeds 2"),
+        (["experiment", "nope"],
+         "argument name: invalid choice: 'nope' (choose from 'sbm-lambda-sweep', "
+         "'sbm-alpha-sweep', 'karate', 'dolphins', 'crescents')"),
     ])
     def test_usage_errors_exit_1(self, argv, message, capsys):
         assert main(argv) == 1
@@ -637,3 +722,142 @@ class TestParser:
             main((command.split() if command else []) + ["--help"])
         assert info.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def _leaves():
+    """{command: parser} of every subcommand that takes no further one."""
+    return {name: p for name, p in _subparsers(cli.build_parser()).items()
+            if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)}
+
+
+def _clique(size, offset=0):
+    return [(u + offset, v + offset) for u in range(size) for v in range(u + 1, size)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Tiny input files, by the flags that read them; every flag also draws
+    an empty file, a header-only file and a missing path."""
+    d = tmp_path_factory.mktemp("fuzz-inputs")
+    graphs = {"cliques.edges": WeightedGraph(12, _clique(6) + _clique(6, 6) + [(0, 6)]),
+              "edge.edges": WeightedGraph(2, [(0, 1)]),
+              "components.edges": WeightedGraph(6, _clique(3) + _clique(3, 3))}
+    blobs = np.vstack([np.random.default_rng(0).normal(c, 0.1, (6, 2)) for c in (0, 3)])
+    features = {"blobs.csv": blobs, "coincident.csv": np.ones((6, 2)),
+                "two.csv": blobs[[0, 6]], "three.csv": blobs[[0, 1, 6]]}
+    # one seed per blob, a class gap, a node outside the features
+    seeds = {"seeds.csv": {0: 0, 6: 1}, "gap.csv": {0: 0, 6: 2},
+             "outside.csv": {0: 0, 50: 1}}
+    scores = {"truth.csv": [0] * 6 + [1] * 6, "found.csv": [0] * 5 + [1] * 7,
+              "huge-class.csv": [0] * 11 + [10 ** 6]}
+    for name, g in graphs.items():
+        write_edge_list(d / name, g)
+    for name, x in features.items():
+        write_features_csv(d / name, x)
+    for name, labels in {**seeds, **scores}.items():
+        write_labels_csv(d / name, labels)
+    (d / "empty.csv").write_text("")
+    (d / "header.csv").write_text("node_id,class\n")
+    bad = ["empty.csv", "header.csv", "missing.csv"]
+    paths = {"--graph": [*graphs, *bad], "--features": [*features, *bad],
+             "--labels": [*seeds, *bad], "--found": [*scores, *seeds, *bad]}
+    paths["--truth"] = paths["--found"]
+    return {flag: [str(d / name) for name in names] for flag, names in paths.items()}
+
+
+# edge-case values; 0.5 lets a drawn --delta, --alpha or --weights be
+# valid, and 3 gives K = n and K = n + 1 on the three- and two-point files
+FUZZ_NUMBERS = ("0", "-1", "1", "2", "3", "0.5", "1e300", "-1e300", str(10 ** 12),
+                "nan", "inf", "-inf")
+
+
+def _number_list(entries=FUZZ_NUMBERS):
+    """Comma-joined entries, empty and repeated ones included."""
+    return st.lists(st.sampled_from((*entries, "")), max_size=4).map(",".join)
+
+
+_NUMBER = st.sampled_from(FUZZ_NUMBERS)
+# the value strategy of every option; a strategy that draws a list gives
+# its flag once per entry. --n, --workers and the preset counts stay small,
+# so that no case asks for n^2 memory, many threads or a full preset run
+FUZZ_VALUES = {
+    "--n": st.sampled_from(("-1", "0", "1", "2", "3", "60")),
+    "--workers": st.sampled_from(("-1", "0", "1", "2")),
+    "--seeds": st.sampled_from(("-1", "0")),
+    "--samplings": st.sampled_from(("-1", "0")),
+    # half the draws are a valid K, so that runs reach the engine
+    "--k": st.sampled_from(FUZZ_NUMBERS) | st.sampled_from(("2", "3")),
+    **dict.fromkeys(("--seed", "--delta", "--alpha", "--p1", "--p2", "--q",
+                     "--noise"), _NUMBER),
+    **dict.fromkeys(("--lambda-grid", "--k-grid", "--sigma-exponents", "--weights"),
+                    _number_list()),
+    **dict.fromkeys(("--mean", "--cov"), st.lists(_number_list(), min_size=1,
+                                                  max_size=3)),
+    "--variant": st.sampled_from((*VARIANTS, "nope")),
+    "--extra-variants": _number_list((*VARIANTS, "nope")),
+    "--sweep-cuts": st.none(),
+}
+
+
+@st.composite
+def cli_cases(draw, inputs, leaves):
+    """(command words, [(flag, value or None)]) of one drawn leaf. Required
+    flags are always given, one of a required choice too, and so is a
+    preset's count: without it the preset runs a full study."""
+    command = draw(st.sampled_from(sorted(leaves)))
+    parser = leaves[command]
+    actions = [a for a in parser._actions
+               if a.option_strings and a.option_strings[0] not in ("-h", "--out")]
+    flags = [a.option_strings[0] for a in actions]
+    forced = [a.option_strings[0] for a in actions
+              if a.required or a.option_strings[0] in ("--seeds", "--samplings")]
+    choices = [[a.option_strings[0] for a in group._group_actions]
+               for group in parser._mutually_exclusive_groups if group.required]
+    forced += [draw(st.sampled_from(choice)) for choice in choices]
+    optional = [flag for flag in flags
+                if flag not in forced and not any(flag in c for c in choices)]
+    chosen = forced + (draw(st.lists(st.sampled_from(optional), unique=True,
+                                     max_size=3)) if optional else [])
+    options = []
+    for flag in chosen:
+        value = draw(st.sampled_from(inputs[flag]) if flag in inputs
+                     else FUZZ_VALUES[flag])
+        options += [(flag, v) for v in (value if isinstance(value, list) else [value])]
+    return command.split(), options
+
+
+def test_fuzz_tables_cover_every_option(fuzz_inputs):
+    flags = {a.option_strings[0] for p in _leaves().values() for a in p._actions
+             if a.option_strings} - {"-h", "--out"}
+    assert flags == set(FUZZ_VALUES) | set(fuzz_inputs)
+
+
+_fresh_out = itertools.count()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_fail_in_one_line(fuzz_inputs, tmp_path_factory, data):
+    # exit 0-3, at most one error line, no traceback, and no --out path
+    # left by a failing run
+    leaves = _leaves()
+    command, options = data.draw(cli_cases(fuzz_inputs, leaves))
+    spaced = data.draw(st.booleans())
+    out = tmp_path_factory.getbasetemp() / f"fuzz-out-{next(_fresh_out)}"
+    argv = [*command, "--out", str(out)]
+    for flag, value in options:
+        if value is None:
+            argv.append(flag)
+        elif spaced:
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{' '.join(command)} exits {code}")
+    assert 0 <= code <= 3, argv
+    assert len(error_lines(err.getvalue())) <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (1, 3):
+        assert not out.exists(), argv

@@ -11,7 +11,7 @@ from pcut.engine import (CandidateCut, PCutConfig, generate_candidates, mix_seed
                          pcut_select)
 from pcut.errors import (NoFeasiblePartitionError, NumericError, ParameterError,
                          PCutError)
-from pcut.experiments import load_bundled_network, run_experiment
+from pcut.experiments import PRESETS, load_bundled_network, run_karate
 from pcut.graph import Partition, WeightedGraph, cut_value
 from pcut.construction import avg_knn_distance
 from pcut.propagation import LabelSet, grf_scores
@@ -53,7 +53,7 @@ COUNT_CHECKS = {
     "SpectralConfig max_iters": (
         lambda v: SpectralConfig(K=2, kmeans_max_iters=v), "k-means iterations"),
     **{f"{preset} {key}": (
-        lambda v, preset=preset, key=key: run_experiment(preset, **{key: v}), key)
+        lambda v, preset=preset, key=key: PRESETS[preset](**{key: v}), key)
        for preset, key in (("sbm-lambda-sweep", "n_seeds"),
                            ("sbm-lambda-sweep", "workers"),
                            ("sbm-alpha-sweep", "n_seeds"),
@@ -159,8 +159,16 @@ class TestGenerateCandidates:
          r"^sigma_exponents entry 1024 lies outside \[-1022, 1023\]$"),
         (dict(K=2, sigma_exponents=(-1023,)),
          r"^sigma_exponents entry -1023 lies outside \[-1022, 1023\]$"),
+        # lambda mixes the plain and the rank-scaled neighbour count
+        (dict(K=2, lambda_grid=(0.5, 5.0)),
+         r"^lambda_grid entry 5.0 lies outside \[0, 1\]$"),
+        (dict(K=2, modality="connectivity", lambda_grid=(-0.1,)),
+         r"^lambda_grid entry -0.1 lies outside \[0, 1\]$"),
+        (dict(K=2, lambda_grid=(float("nan"),)),
+         r"^lambda_grid entry nan lies outside \[0, 1\]$"),
     ], ids=["sweep-at-K3", "sweep-in-ssl", "flavour-in-ssl", "network-k-grid",
-            "network-sigma-grid", "sigma-above-range", "sigma-below-range"])
+            "network-sigma-grid", "sigma-above-range", "sigma-below-range",
+            "lambda-above-range", "lambda-below-range", "lambda-nan"])
     def test_config_rejects_work_it_would_not_run(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
             PCutConfig(**kwargs)
@@ -172,12 +180,21 @@ class TestGenerateCandidates:
         with pytest.raises(ParameterError, match="entry 5000 lies outside"):
             generate_candidates(f, PCutConfig(K=2, k_grid=(5,), sigma_exponents=(5000,)))
 
+    @pytest.mark.parametrize("modality", ["similarity", "connectivity"])
+    def test_more_clusters_than_nodes_raise_before_allocating(self, modality):
+        # an n x K embedding at K = 10^12 would ask for 87 TiB
+        data = (two_cliques() if modality == "connectivity"
+                else np.arange(24.0).reshape(12, 2))
+        with pytest.raises(ParameterError,
+                           match=r"^need at least K=1000000000000 nodes, got 12$"):
+            generate_candidates(data, PCutConfig(K=10 ** 12, modality=modality))
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_must_be_positive(self, workers):
         with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
             PCutConfig(K=2, workers=workers)
         with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
-            run_experiment("karate", workers=workers)
+            run_karate(workers=workers)
 
     def test_ssl_requires_labels(self):
         f, _ = gaussian_mixture(
