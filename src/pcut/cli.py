@@ -263,6 +263,31 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _preset_flags(name: str) -> dict:
+    """{flag: keyword} of a preset's overrides; n_seeds is --seeds."""
+    keys = list(inspect.signature(PRESETS[name]).parameters)[1:]
+    return {"--" + key.removeprefix("n_"): key for key in keys}
+
+
+class _PresetParser(_Parser):
+    """An experiment preset's parser. A flag that only other presets take
+    is refused by name, with the flags this one takes; any other stray
+    argument is argparse's "unrecognized arguments"."""
+
+    def __init__(self, preset: str, **kwargs):
+        super().__init__(**kwargs)
+        self.preset = preset
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        flag = extras[0].split("=")[0] if extras else None
+        if any(flag in _preset_flags(name) for name in PRESETS):
+            takes = ", ".join(_preset_flags(self.preset)) or "no overrides"
+            self.error(f"experiment {self.preset!r} does not take {flag}; "
+                       f"it takes {takes}")
+        return namespace, extras
+
+
 # every option, declared once; each subcommand attaches those it reads
 _OPTIONS = {
     "--seed": dict(type=int, default=0, help="run seed (default 0)"),
@@ -344,15 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     presets = sub.add_parser("experiment", help="run a bundled experiment preset"
-                             ).add_subparsers(dest="name", required=True)
+                             ).add_subparsers(dest="name", required=True,
+                                              parser_class=_PresetParser)
     for name, preset in PRESETS.items():
-        p = presets.add_parser(name, help=preset.__doc__.splitlines()[0])
+        p = presets.add_parser(name, preset=name, help=preset.__doc__.splitlines()[0])
         p.add_argument("--out", default="pcut-experiment")
-        # a flag per preset keyword (n_seeds: --seeds), with its default
-        for key, param in list(inspect.signature(preset).parameters.items())[1:]:
-            p.add_argument("--" + key.removeprefix("n_"), dest=key, type=int,
-                           default=argparse.SUPPRESS,
-                           help=f"override {key} (default {param.default})")
+        # a flag per preset keyword, with its default
+        defaults = inspect.signature(preset).parameters
+        for flag, key in _preset_flags(name).items():
+            p.add_argument(flag, dest=key, type=int, default=argparse.SUPPRESS,
+                           help=f"override {key} (default {defaults[key].default})")
         p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pcut import experiments
-from pcut.errors import ParameterError
+from pcut.cli import build_parser
+from pcut.errors import InputError, ParameterError
 from pcut.graph import Partition
 from pcut.experiments import (PRESETS, run_crescents, run_dolphins, run_karate,
                               run_sbm_alpha_sweep, run_sbm_lambda_sweep)
@@ -26,6 +27,25 @@ def test_each_preset_takes_exactly_its_overrides():
              for name, preset in PRESETS.items()}
     assert found == PRESET_PARAMETERS
     assert tuple(PRESETS) == tuple(PRESET_PARAMETERS)
+
+
+@pytest.mark.parametrize("name, overrides, match", [
+    ("karate", dict(n_seeds=2),
+     r"^experiment 'karate' does not take --seeds; it takes --workers$"),
+    ("crescents", dict(workers=2),
+     r"^experiment 'crescents' does not take --workers; it takes no overrides$"),
+    ("crescents", dict(n_samplings=2),
+     r"^experiment 'crescents' does not take --samplings; it takes no overrides$"),
+    ("dolphins", dict(n_seeds=2),
+     r"^experiment 'dolphins' does not take --seeds; it takes --samplings, --workers$"),
+])
+def test_rejected_overrides(name, overrides, match):
+    # another preset's keyword is refused by the preset's parser, which
+    # names the flags the preset takes
+    argv = [arg for key, value in overrides.items()
+            for arg in ("--" + key.removeprefix("n_"), str(value))]
+    with pytest.raises(InputError, match=match):
+        build_parser().parse_args(["experiment", name, *argv])
 
 
 @pytest.mark.parametrize("preset, counts, match", [
