@@ -6,7 +6,8 @@ takes only the options it reads. The run rules live in PCutConfig, so
 library callers get them too: sweep cuts need K = 2 clustering, a --graph
 grid takes no --k-grid or --sigma-exponents, ssl takes no flavour, and a
 lambda lies in [0, 1] and a sigma exponent in [-1022, 1023]. --seed
-(default 0) is the one seed source.
+(default 0) is the seed of the runs that draw, which are cluster (its k-means)
+and synth; ssl and eval draw nothing and record seed 0.
 
 Exit codes: 0 success, 1 input or usage error, 2 no feasible partition,
 3 numeric failure. Reports are JSON with sorted keys; identical inputs and
@@ -92,14 +93,11 @@ def _parse_list(flag: str, kind=float):
 
 
 def _build_config(args, task: str, modality: str, K: int) -> PCutConfig:
-    kwargs = dict(K=K, task=task, modality=modality, delta=args.delta,
-                  seed=args.seed, workers=args.workers,
-                  lambda_grid=args.lambda_grid, k_grid=args.k_grid,
-                  sigma_exponents=args.sigma_exponents)
-    if task == "clustering":
-        kwargs.update(variant=args.variant, extra_variants=args.extra_variants,
-                      sweep_cuts=args.sweep_cuts)
-    return PCutConfig(**kwargs)
+    """The run's PCutConfig: each field the subcommand's parser defines,
+    and PCutConfig's defaults for the others."""
+    fields = inspect.signature(PCutConfig).parameters
+    given = {key: value for key, value in vars(args).items() if key in fields}
+    return PCutConfig(K=K, task=task, modality=modality, **given)
 
 
 def _run_and_report(args, t0: float, data, cfg: PCutConfig, inputs: dict,
@@ -233,10 +231,8 @@ def cmd_experiment(args) -> int:
                  for key in inspect.signature(preset).parameters if key in args}
     out = Path(args.out)
     summary = preset(out, **overrides)
-    # the worker count does not change the work, so only counts reach the manifest
-    counts = {key: value for key, value in overrides.items() if key != "workers"}
     # each preset fixes its own seeds, which the summary records
-    manifest = _manifest(f"experiment:{args.name}", {"overrides": counts}, {}, 0)
+    manifest = _manifest(f"experiment:{args.name}", {"overrides": overrides}, {}, 0)
     report = {"manifest": manifest, "summary": summary,
               "timings": {"wall_seconds": time.time() - t0}}
     # an experiment summary is not a run report, so the schema does not apply
@@ -309,8 +305,9 @@ _OPTIONS = {
     "--sweep-cuts": dict(action="store_true",
                          help="also propose minimum-cut sweep partitions (K=2)"),
 }
-_RUN_OPTIONS = ("--seed", "--workers", "--delta", "--lambda-grid", "--k-grid",
-                 "--sigma-exponents")
+# ssl's harmonic propagation draws no random numbers, so it takes no --seed
+_RUN_OPTIONS = ("--workers", "--delta", "--lambda-grid", "--k-grid",
+                "--sigma-exponents")
 
 
 def _add_options(parser, *flags) -> None:
@@ -331,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--graph", help="edge list (connectivity modality)")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--out", default="pcut-out", help="output directory")
-    _add_options(p, *_RUN_OPTIONS, "--variant", "--extra-variants", "--sweep-cuts")
+    _add_options(p, "--seed", *_RUN_OPTIONS, "--variant", "--extra-variants",
+                 "--sweep-cuts")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("ssl", help="semi-supervised label propagation")

@@ -95,6 +95,7 @@ class PCutConfig:
     A grid entry named twice, in lambda_grid, k_grid or sigma_exponents,
     runs once; each grid keeps its distinct entries in first-occurrence
     order. The k-means restart and iteration counts are fixed constants.
+    Only k-means reads seed: an ssl run draws no random numbers.
     """
 
     K: int

@@ -3,7 +3,9 @@
 Each preset is a fixed study: its sizes and seeds are the module constants
 below, and its keyword parameters are the only overrides it takes (`pcut
 experiment <preset>` reads its flags from them). A count below 1 raises
-ParameterError before any trial. A preset writes an aggregate CSV of means
+ParameterError before any trial. Presets run on one worker: a karate or
+dolphins grid is one engine chunk, and a second worker ran the block-model
+sweeps no faster. A preset writes an aggregate CSV of means
 and standard deviations under out_dir and returns a summary dict, so tests
 can gate on it without re-parsing files.
 """
@@ -66,11 +68,9 @@ def _lambda_one_sc(candidates) -> CandidateCut:
     raise ParameterError("lambda = 1 is not on the grid")
 
 
-def _connectivity_run(g, truth, delta, seed, workers, sweep=True,
-                      variants=_NETWORK_VARIANTS):
+def _connectivity_run(g, truth, delta, seed, sweep=True, variants=_NETWORK_VARIANTS):
     cfg = PCutConfig(K=truth.K, task="clustering", modality="connectivity",
-                     delta=delta, sweep_cuts=sweep, seed=seed, workers=workers,
-                     **variants)
+                     delta=delta, sweep_cuts=sweep, seed=seed, **variants)
     candidates = generate_candidates(g, cfg)
     selected = pcut_select(candidates)
     plain = _lambda_one_sc(candidates)
@@ -93,28 +93,28 @@ def _write_csv(out_dir, name, header, rows):
         writer.writerows(rows)
 
 
-def _sbm_trial(alpha, q, delta, seed, workers):
+def _sbm_trial(alpha, q, delta, seed):
     """One equal-degree block-model run: its truth, candidates, selected
     candidate and plain-SC candidate."""
     g, truth = sbm_generate(SbmSpec(n=SBM_N, alpha=alpha, p1=SBM_P1, q=q,
                                     equalize_degrees=True, seed=seed))
     return (truth, *_connectivity_run(g, truth, delta=delta, seed=seed,
-                                      workers=workers, variants=_SBM_VARIANTS))
+                                      variants=_SBM_VARIANTS))
 
 
-def run_sbm_lambda_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
+def run_sbm_lambda_sweep(out_dir=None, n_seeds=SBM_SEEDS):
     """Equal-degree block model at fixed imbalance, swept over lambda.
 
     Reports per-lambda mean error and normalized cut for the plain spectral
     flavor, plus the selected-partition and plain-SC error summary.
     """
-    check_counts(n_seeds=n_seeds, workers=workers)
+    check_counts(n_seeds=n_seeds)
     per_seed = []
     lam_errors: dict = {}
     lam_cuts: dict = {}
     for seed in range(SBM_BASE_SEED, SBM_BASE_SEED + n_seeds):
         truth, candidates, selected, plain = _sbm_trial(
-            LAMBDA_SWEEP_ALPHA, LAMBDA_SWEEP_Q, LAMBDA_SWEEP_ALPHA, seed, workers)
+            LAMBDA_SWEEP_ALPHA, LAMBDA_SWEEP_Q, LAMBDA_SWEEP_ALPHA, seed)
         per_seed.append({
             "seed": seed,
             "sc_error": _err(plain.partition, truth),
@@ -146,7 +146,7 @@ def run_sbm_lambda_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     }
 
 
-def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
+def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS):
     """Error ratio against the imbalance coefficient, q scaled as 0.0015/alpha.
 
     The size floor is set a notch below the known imbalance (0.9 * alpha) so
@@ -154,15 +154,14 @@ def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     is mean selected error over mean plain-SC error; when both means are
     exactly zero it is reported as 1.0.
     """
-    check_counts(n_seeds=n_seeds, workers=workers)
+    check_counts(n_seeds=n_seeds)
     rows = []
     per_alpha = {}
     for alpha in ALPHA_SWEEP_ALPHAS:
         q = 0.0015 / alpha
         sc_errors, pc_errors = [], []
         for seed in range(SBM_BASE_SEED, SBM_BASE_SEED + n_seeds):
-            truth, _, selected, plain = _sbm_trial(alpha, q, 0.9 * alpha, seed,
-                                                   workers)
+            truth, _, selected, plain = _sbm_trial(alpha, q, 0.9 * alpha, seed)
             sc_errors.append(_err(plain.partition, truth))
             pc_errors.append(_err(selected.partition, truth))
         mean_sc = float(np.mean(sc_errors))
@@ -185,10 +184,10 @@ def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS, workers=1):
     }
 
 
-def _karate_outcome(g, truth, ids, delta, workers):
+def _karate_outcome(g, truth, ids, delta):
     """Errors and misattributed 1-based `ids` of one karate run."""
     _, selected, plain = _connectivity_run(g, truth, delta=delta, seed=KARATE_SEED,
-                                           workers=workers, sweep=False)
+                                           sweep=False)
     return {
         "sc_error": _err(plain.partition, truth),
         "pcut_error": _err(selected.partition, truth),
@@ -198,21 +197,20 @@ def _karate_outcome(g, truth, ids, delta, workers):
     }
 
 
-def run_karate(out_dir=None, workers=1):
+def run_karate(out_dir=None):
     """Full and under-observed karate club, exact per-node outcomes.
 
     This preset keeps the plain spectral family (no sweep candidates),
     matching the source study's black-box configuration.
     """
-    check_counts(workers=workers)
     g, truth = load_bundled_network("karate")
-    full = _karate_outcome(g, truth, list(range(1, g.n + 1)), 5 / 34, workers)
+    full = _karate_outcome(g, truth, list(range(1, g.n + 1)), 5 / 34)
     keep = [i for i in range(g.n) if (i + 1) not in KARATE_REMOVED_1BASED]
     reduced = {
         "removed_nodes": list(KARATE_REMOVED_1BASED),
         **_karate_outcome(g.subgraph(keep),
                           Partition(assignment=truth.assignment[keep], K=truth.K),
-                          [k + 1 for k in keep], 5 / 26, workers),
+                          [k + 1 for k in keep], 5 / 26),
     }
     _write_csv(out_dir, "karate.csv", ["graph", "sc_error", "pcut_error"],
                [("full", full["sc_error"], full["pcut_error"]),
@@ -228,13 +226,13 @@ def _misattributed(found: Partition, truth: Partition, ids):
     return [ids[i] for i in np.flatnonzero(mapped[found.assignment] != truth.assignment)]
 
 
-def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
+def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS):
     """Under-observed dolphin network: random small-community removals.
 
     After removing the sampled nodes, anything disconnected from the largest
     component is dropped too; errors are means over samplings.
     """
-    check_counts(n_samplings=n_samplings, workers=workers)
+    check_counts(n_samplings=n_samplings)
     g, truth = load_bundled_network("dolphins")
     small_nodes = np.flatnonzero(truth.assignment == 0)
     per_removal = {}
@@ -252,7 +250,7 @@ def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS, workers=1):
                 assignment=truth.assignment[np.asarray(keep)][giant], K=truth.K)
             _, selected, plain = _connectivity_run(
                 g_obs, truth_obs, delta=DOLPHINS_DELTA,
-                seed=DOLPHINS_BASE_SEED + samp, workers=workers)
+                seed=DOLPHINS_BASE_SEED + samp)
             sc_errors.append(_err(plain.partition, truth_obs))
             pc_errors.append(_err(selected.partition, truth_obs))
         # in the CSV's column order

@@ -251,21 +251,22 @@ def lanczos_eigenvectors(a, K: int):
     return vecs, vals
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+def philox_key(seed: int, word: int) -> np.ndarray:
+    """The two uint64 key words of the Philox stream of (seed, word).
 
-
-def _philox_key(seed: int) -> np.uint64:
-    """First key word of the Philox generator that _rng(seed, stream) builds.
-
-    np.random.Philox(key=[seed, stream]) converts the list with
-    np.asarray(...).astype(np.uint64). A seed of 2**63 or more makes the
-    list float64, which rounds away the seed's low bits, and seeds within
-    about 1024 of 2**64 overflow the cast (numpy warns). A stream is a small
-    nonnegative integer: it converts exactly and does not change the list's
-    dtype, so the word depends on the seed alone.
+    The pair converts as np.random.Philox(key=[seed, word]) converts a list,
+    so every stream keeps the numbers it drew when built from one: with one
+    entry of 2**63 or more and the other below it, the list becomes
+    float64, which rounds away low bits, and an entry within about 1024 of
+    2**64 overflows the cast (numpy warns). A word below 2**63 leaves the
+    list's dtype to the seed, so the first key word depends on the seed
+    alone.
     """
-    return np.asarray([seed & (2**64 - 1), 0]).astype(np.uint64)[0]
+    return np.asarray([seed & (2**64 - 1), word]).astype(np.uint64)
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, stream)))
 
 
 # Philox4x64-10 as numpy's Philox computes it (Salmon et al., 2011). A
@@ -329,7 +330,9 @@ def _seeding_draws(seeds, streams, n: int, K: int):
     if not 2 <= n < 2**32:
         return (np.zeros(rows, dtype=np.int64), np.zeros((rows, K - 1)),
                 np.ones(rows, dtype=bool))
-    keys = {seed: _philox_key(seed) for seed in set(seeds)}
+    # a stream is a small nonnegative integer, so its row's first key word
+    # is that of stream 0
+    keys = {seed: philox_key(seed, 0)[0] for seed in set(seeds)}
     key0 = np.array([keys[seed] for seed in seeds], dtype=np.uint64)
     words = _philox_words(key0, np.asarray(streams, dtype=np.uint64), -(-K // 4))
     scaled = (words[:, 0] & _LOW32) * np.uint64(n)

@@ -14,12 +14,20 @@ import numpy as np
 from .construction import FeatureMatrix
 from .errors import ParameterError, check_counts
 from .graph import Partition, WeightedGraph
+from .spectral import philox_key
 
 # Crescent geometry constants, echoed in experiment reports.
 CRESCENT_RADIUS = 1.0
 CRESCENT_VERTICAL_OFFSET = 0.5
 CRESCENT_BLOB_CENTER = (2.5, 0.25)
 CRESCENT_BLOB_STD = 0.08
+
+# Node pairs per block of rows in sbm_generate (at least one row). A block's
+# index, uniform and probability arrays take about 50 bytes a pair: at
+# n = 5000 the generator peaked at 12 MiB of tracemalloc, where one draw
+# over all pairs took 572 MiB. Blocks of 2**14 to 2**22 pairs all took
+# about 0.25 s there, so the size bounds memory and costs no time.
+_SBM_BLOCK_PAIRS = 2**18
 
 
 def _purpose_key(purpose: str) -> int:
@@ -29,8 +37,8 @@ def _purpose_key(purpose: str) -> int:
 
 def stream(seed: int, purpose: str) -> np.random.Generator:
     """Deterministic generator for a (seed, purpose) pair."""
-    return np.random.Generator(
-        np.random.Philox(key=[seed & (2**64 - 1), _purpose_key(purpose)]))
+    key = philox_key(seed, _purpose_key(purpose))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _round_half_up(x: float) -> int:
@@ -93,12 +101,22 @@ def sbm_generate(spec: SbmSpec):
     block = np.zeros(n, dtype=np.int64)
     block[n1:] = 1
     prob = np.array([[spec.p1, spec.q], [spec.q, p2]])
-    iu, iv = np.triu_indices(n, 1)
-    keep = rng.random(iu.size) < prob[block[iu], block[iv]]
+    # one uniform per node pair (u, v), u < v, in row-major order, drawn a
+    # block of rows at a time: consecutive draws continue the stream, so the
+    # graph is the one a single draw over all pairs gives, in O(n + m) memory
+    rows = max(1, _SBM_BLOCK_PAIRS // n)
+    heads, tails = [], []
+    for start in range(0, n, rows):
+        iu, iv = np.triu_indices(min(rows, n - start), start + 1, n)
+        iu += start
+        keep = rng.random(iu.size) < prob[block[iu], block[iv]]
+        heads.append(iu[keep])
+        tails.append(iv[keep])
+    iu, iv = np.concatenate(heads), np.concatenate(tails)
     perm = stream(spec.seed, "sbm-relabel").permutation(n)
     truth = np.empty(n, dtype=np.int64)
     truth[perm] = block
-    graph = WeightedGraph.from_arrays(n, perm[iu[keep]], perm[iv[keep]])
+    graph = WeightedGraph.from_arrays(n, perm[iu], perm[iv])
     return graph, Partition(assignment=truth, K=2)
 
 

@@ -251,7 +251,7 @@ class TestSslCommand:
         fpath, lpath, truth = self.make_inputs(tmp_path, n_labels=2)
         out = tmp_path / "out"
         code = main(["ssl", "--features", str(fpath), "--labels", str(lpath),
-                     "--out", str(out), "--seed", "2", "--delta", "0.1",
+                     "--out", str(out), "--delta", "0.1",
                      "--lambda-grid", "1.0", "--k-grid", "5",
                      "--sigma-exponents", "0"])
         assert code == 0
@@ -263,7 +263,7 @@ class TestSslCommand:
         fpath, lpath, truth = self.make_inputs(tmp_path, n_labels=40)
         out = tmp_path / "out2"
         code = main(["ssl", "--features", str(fpath), "--labels", str(lpath),
-                     "--out", str(out), "--seed", "2", "--delta", "0.1",
+                     "--out", str(out), "--delta", "0.1",
                      "--lambda-grid", "1.0", "--k-grid", "5",
                      "--sigma-exponents", "0"])
         assert code == 0
@@ -327,18 +327,19 @@ class TestSslCommand:
 def test_reports_byte_identical_across_workers(tmp_path, kind):
     if kind == "graph":
         path, _ = two_cliques_file(tmp_path)
-        args = ["cluster", "--graph", str(path), "--k", "2", "--delta", "0.2"]
+        args = ["cluster", "--graph", str(path), "--k", "2", "--delta", "0.2",
+                "--seed", "3"]
     else:
         fpath, lpath, _ = TestSslCommand().make_inputs(tmp_path, n_labels=2)
-        args = ["cluster", "--features", str(fpath), "--k", "2"]
+        # ssl draws nothing, so it takes no --seed
+        args = ["cluster", "--features", str(fpath), "--k", "2", "--seed", "3"]
         if kind == "ssl":
             args = ["ssl", "--features", str(fpath), "--labels", str(lpath)]
         args += ["--delta", "0.1", "--k-grid", "5,10", "--sigma-exponents=-1,0"]
     outs = []
     for workers in ("1", "2"):
         out = tmp_path / f"workers-{workers}"
-        assert main(args + ["--out", str(out), "--seed", "3",
-                            "--workers", workers]) == 0
+        assert main(args + ["--out", str(out), "--workers", workers]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report.pop("timings")["workers"] == int(workers)
         outs.append(json.dumps(report, sort_keys=True))
@@ -464,9 +465,12 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["karate", "--seeds", "2"],
-         "experiment 'karate' does not take --seeds; it takes --workers"),
-        (["crescents", "--workers", "2"],
-         "experiment 'crescents' does not take --workers; it takes no overrides"),
+         "experiment 'karate' does not take --seeds; it takes no overrides"),
+        (["crescents", "--seeds", "2"],
+         "experiment 'crescents' does not take --seeds; it takes no overrides"),
+        # presets run on one worker, so no preset takes --workers
+        (["crescents", "--workers", "2"], "unrecognized arguments: --workers 2"),
+        (["karate", "--workers", "2"], "unrecognized arguments: --workers 2"),
     ])
     def test_override_the_preset_does_not_take_exits_1(self, argv, message,
                                                        tmp_path, capsys):
@@ -495,7 +499,7 @@ class TestExperimentCommand:
         # stdout names that file and nothing else
         summary = {"per_seed": [{"seed": s, "error": s / 7} for s in range(500)]}
 
-        def preset(out_dir=None, n_seeds=20, workers=1):
+        def preset(out_dir=None, n_seeds=20):
             """A stand-in with the sweep's keywords."""
             return summary
         monkeypatch.setitem(cli.PRESETS, "sbm-lambda-sweep", preset)
@@ -646,7 +650,7 @@ SUBCOMMAND_OPTIONS = {
     "cluster": {"--features", "--graph", "--k", "--out", "--seed", "--workers",
                 "--delta", "--lambda-grid", "--k-grid", "--sigma-exponents",
                 "--variant", "--extra-variants", "--sweep-cuts"},
-    "ssl": {"--features", "--labels", "--out", "--seed", "--workers", "--delta",
+    "ssl": {"--features", "--labels", "--out", "--workers", "--delta",
             "--lambda-grid", "--k-grid", "--sigma-exponents"},
     "synth": {"kind"},
     "synth sbm": {"--out", "--n", "--seed", "--alpha", "--p1", "--p2", "--q"},
@@ -654,10 +658,10 @@ SUBCOMMAND_OPTIONS = {
     "synth crescents": {"--out", "--n", "--seed", "--noise"},
     "eval": {"--found", "--truth", "--out"},
     "experiment": {"name"},
-    "experiment sbm-lambda-sweep": {"--out", "--seeds", "--workers"},
-    "experiment sbm-alpha-sweep": {"--out", "--seeds", "--workers"},
-    "experiment karate": {"--out", "--workers"},
-    "experiment dolphins": {"--out", "--samplings", "--workers"},
+    "experiment sbm-lambda-sweep": {"--out", "--seeds"},
+    "experiment sbm-alpha-sweep": {"--out", "--seeds"},
+    "experiment karate": {"--out"},
+    "experiment dolphins": {"--out", "--samplings"},
     "experiment crescents": {"--out"},
 }
 
@@ -708,6 +712,9 @@ class TestParser:
         (["experiment", "nope"],
          "argument name: invalid choice: 'nope' (choose from 'sbm-lambda-sweep', "
          "'sbm-alpha-sweep', 'karate', 'dolphins', 'crescents')"),
+        # ssl draws nothing, so it takes no seed
+        (["ssl", "--features", "f.csv", "--labels", "l.csv", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
     ])
     def test_usage_errors_exit_1(self, argv, message, capsys):
         assert main(argv) == 1

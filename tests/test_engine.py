@@ -11,7 +11,7 @@ from pcut.engine import (CandidateCut, PCutConfig, generate_candidates, mix_seed
                          pcut_select)
 from pcut.errors import (NoFeasiblePartitionError, NumericError, ParameterError,
                          PCutError)
-from pcut.experiments import PRESETS, load_bundled_network, run_karate
+from pcut.experiments import PRESETS, load_bundled_network
 from pcut.graph import Partition, WeightedGraph, cut_value
 from pcut.construction import avg_knn_distance
 from pcut.propagation import LabelSet, grf_scores
@@ -55,12 +55,8 @@ COUNT_CHECKS = {
     **{f"{preset} {key}": (
         lambda v, preset=preset, key=key: PRESETS[preset](**{key: v}), key)
        for preset, key in (("sbm-lambda-sweep", "n_seeds"),
-                           ("sbm-lambda-sweep", "workers"),
                            ("sbm-alpha-sweep", "n_seeds"),
-                           ("sbm-alpha-sweep", "workers"),
-                           ("karate", "workers"),
-                           ("dolphins", "n_samplings"),
-                           ("dolphins", "workers"))},
+                           ("dolphins", "n_samplings"))},
 }
 
 
@@ -193,8 +189,6 @@ class TestGenerateCandidates:
     def test_workers_must_be_positive(self, workers):
         with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
             PCutConfig(K=2, workers=workers)
-        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
-            run_karate(workers=workers)
 
     def test_ssl_requires_labels(self):
         f, _ = gaussian_mixture(

@@ -1,11 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pcut import synth
 from pcut.errors import ParameterError
+from pcut.spectral import _rng, philox_key
 from pcut.synth import (SbmSpec, crescent_dataset, gaussian_mixture,
-                        sbm_bounds, sbm_generate, CRESCENT_BLOB_CENTER,
+                        sbm_bounds, sbm_generate, stream, CRESCENT_BLOB_CENTER,
                         CRESCENT_BLOB_STD, CRESCENT_RADIUS)
 
 
@@ -71,6 +74,7 @@ class TestSbmGenerate:
         g3, _ = sbm_generate(SbmSpec(n=60, alpha=0.2, p1=0.4, q=0.05, seed=6))
         assert list(g1.edges()) != list(g3.edges())
 
+    @pytest.mark.parametrize("block_pairs", [synth._SBM_BLOCK_PAIRS, 1000])
     @pytest.mark.parametrize("spec, m, digest", [
         (dict(n=200, alpha=0.2, p1=0.3, q=0.02, equalize_degrees=True, seed=1),
          1508, "aabbfa89886a4a732aae1ea0434b95ff3340de76cd76d026f1ddb9fc687516a0"),
@@ -80,9 +84,17 @@ class TestSbmGenerate:
         (dict(n=1500, alpha=0.05, p1=0.0667, q=0.01, equalize_degrees=True,
               seed=0),
          14316, "856ee38706d741a25f5aa0aa01c65a60df7a6b7ed7d73e439382b54329a6a4b1"),
+        (dict(n=60, alpha=0.2, p1=0.4, q=0.05, seed=5),
+         198, "d9a8ece4ceb38e5c76f62191767838bfc7e795542abdcadc98d44ab31b3f2e46"),
+        (dict(n=1501, alpha=0.2, p1=0.05, p2=0.02, q=0.01,
+              equalize_degrees=False, seed=9),
+         20435, "a4b81053f9d44e217e873536fa82822a23238677c4208da35c4212d3b0f26f35"),
     ])
-    def test_golden_edge_arrays(self, spec, m, digest):
+    def test_golden_edge_arrays(self, spec, m, digest, block_pairs, monkeypatch):
         # recorded when each pair's probability was read from an n x n matrix
+        # (n = 60 and 1501 when one draw covered every node pair); any block
+        # size, one row per block included, gives the same graph
+        monkeypatch.setattr(synth, "_SBM_BLOCK_PAIRS", block_pairs)
         g, truth = sbm_generate(SbmSpec(**spec))
         h = hashlib.sha256()
         for a in (*g.edge_arrays(), truth.assignment):
@@ -90,12 +102,56 @@ class TestSbmGenerate:
         assert g.m == m
         assert h.hexdigest() == digest
 
+    @pytest.mark.slow
+    def test_memory_grows_with_nodes_and_edges(self):
+        # one draw over all 2e8 node pairs would take about 9 GB
+        tracemalloc.start()
+        try:
+            g, _ = sbm_generate(SbmSpec(n=20_000, alpha=0.05, p1=0.01, q=0.001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 250_000
+        assert peak < 100 * 2**20
+
     def test_invalid_equalized_p2(self):
         # odd n at alpha = 0.5 rounds the first block larger, pushing the
         # equalized within-block probability above 1
         with pytest.raises(ParameterError):
             SbmSpec(n=101, alpha=0.5, p1=1.0, q=0.0,
                     equalize_degrees=True).effective_p2()
+
+
+# the Philox keys of (seed, word) as numpy converts the list [seed, word]:
+# an entry of 2**63 or more beside a smaller one sends both through float64
+SBM_EDGES, CRESCENTS = 11107942649080657064, 4210285810932184485
+PHILOX_KEYS = {
+    -1: [(0, 0), (0, 3), (2**64 - 1, SBM_EDGES), (0, 4210285810932184576)],
+    5: [(5, 0), (5, 3), (5, 11107942649080657920), (5, CRESCENTS)],
+    2**60: [(2**60, 0), (2**60, 3), (2**60, 11107942649080657920), (2**60, CRESCENTS)],
+    2**63: [(2**63, 0), (2**63, 3), (2**63, SBM_EDGES), (2**63, 4210285810932184576)],
+    12345678901234567890: [
+        (12345678901234567168, 0), (12345678901234567168, 3),
+        (12345678901234567890, SBM_EDGES), (12345678901234567168, 4210285810932184576)],
+    2**64 - 5: [(0, 0), (0, 3), (2**64 - 5, SBM_EDGES), (0, 4210285810932184576)],
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("seed", PHILOX_KEYS)
+def test_philox_keys_are_pinned(seed):
+    # every seeded output depends on these keys
+    def key(gen):
+        return tuple(int(w) for w in gen.bit_generator.state["state"]["key"])
+
+    for word, pinned in zip((0, 3, SBM_EDGES, CRESCENTS), PHILOX_KEYS[seed]):
+        assert tuple(int(w) for w in philox_key(seed, word)) == pinned
+        listed = np.random.Philox(key=[seed & (2**64 - 1), word])
+        assert tuple(int(w) for w in listed.state["state"]["key"]) == pinned
+    assert key(_rng(seed, 0)) == PHILOX_KEYS[seed][0]
+    assert key(_rng(seed, 3)) == PHILOX_KEYS[seed][1]
+    assert key(stream(seed, "sbm-edges")) == PHILOX_KEYS[seed][2]
+    assert key(stream(seed, "crescents")) == PHILOX_KEYS[seed][3]
 
 
 class TestSbmBounds:
