@@ -1,18 +1,29 @@
 """Similarity-network graph construction from feature data.
 
 Every nearest-neighbor search reads one neighbor table per FeatureMatrix
-(`FeatureMatrix.neighbors`): each node's nearest other nodes in stable
-distance order with their distances, found by brute force (one distance
-matrix, one stable argsort) and memoised on the instance. Brute force is
-not the faster search: on a 2-core Xeon with one BLAS thread it took
-19-30 ms at n = 600 (width 60) against 4-6 ms to build and query a
-cKDTree, and 2.2-2.6 s at n = 5000 (width 300) against 0.19 s. It is kept
-because its distances are cdist's bits and its stable order, nearest first
-with ties to the lower id, is the table's contract; ROADMAP item 3 plans a
-tree query that keeps both. Only the table's first columns are kept, so no
-n x n array outlives the call that builds it; no other code forms a
-distance matrix. Edge sets and RBF weights are array expressions over the
-table.
+(`FeatureMatrix.neighbors`): each node's nearest other nodes, nearest first
+with ties to the lower id, with their distances, memoised on the instance.
+The table is built by brute force, one block of rows at a time, so no n x n
+array is ever formed:
+
+- a block of at most _NEIGHBOR_BLOCK_ELEMENTS distances (rows x n) takes
+  cdist against every point, with each row's self-distance set to inf;
+- argpartition keeps each row's `width` smallest entries, and lexsort
+  orders them by (distance, id);
+- a row where an entry left out ties the largest kept distance is cut
+  between tied entries; only such rows (duplicate points, integer grids,
+  distances that overflow to inf) fall back to a stable argsort of the
+  whole row.
+
+The table equals one full stable argsort, ids exactly and distances bit for
+bit, since each distance is cdist's own (tests/test_construction.py). On a
+2-core Xeon with one BLAS thread it took 5-6 ms at n = 600 (width 60),
+against 20-24 ms for the full argsort; at n = 5000 (width 300) 0.25-0.27 s
+and a tracemalloc peak of 32 MiB, against 2.1-2.6 s and 393 MiB; and at
+n = 10^4 (width 300) 0.74-0.76 s and 54 MiB, of which the table holds
+46 MiB. Its time is still O(n^2 d); a tree query (ROADMAP item 3) is the
+next step for n >> 10^4. Edge sets and RBF weights are array expressions
+over the table.
 """
 
 from __future__ import annotations
@@ -23,6 +34,14 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .graph import WeightedGraph
+
+# Cap on rows * n distances per block of FeatureMatrix.neighbors. A block's
+# distances and its argpartition indices take 16 bytes per element, 8 MiB at
+# 2**19, and the whole table is one block up to n = 724. Timed on a 2-core
+# Xeon with one BLAS thread (median of 5, width 300): n = 5000 took 257 ms
+# at 2**19, 282 ms at 2**20 and 420 ms at 2**22, n = 10^4 747, 782 and
+# 1303 ms; the tracemalloc peak grows with the block, 32 MiB at n = 5000.
+_NEIGHBOR_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -63,17 +82,50 @@ class FeatureMatrix:
                 f"width must satisfy 1 <= width < n, got {width}, n={self.n}")
         table = self.__dict__.get("_neighbors")
         if table is None or table[0].shape[1] < width:
-            # imported here, so that network runs do not load scipy.spatial
-            from scipy.spatial.distance import cdist
-            d = cdist(self.x, self.x)
-            np.fill_diagonal(d, np.inf)
-            ids = np.argsort(d, axis=1, kind="stable")[:, :width].copy()
-            table = (ids, np.take_along_axis(d, ids, axis=1))
+            table = _neighbor_table(self.x, width)
             for a in table:
                 a.flags.writeable = False
             object.__setattr__(self, "_neighbors", table)
         ids, dists = table
         return ids[:, :width], dists[:, :width]
+
+
+def _neighbor_table(x, width: int):
+    """(ids, dists) of FeatureMatrix.neighbors, one block of rows at a time
+    (see the module docstring)."""
+    n = x.shape[0]
+    ids = np.empty((n, width), dtype=np.int64)
+    dists = np.empty((n, width))
+    step = max(1, _NEIGHBOR_BLOCK_ELEMENTS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ids[lo:hi], dists[lo:hi] = _neighbor_rows(x, lo, hi, width)
+    return ids, dists
+
+
+def _neighbor_rows(x, lo: int, hi: int, width: int):
+    """Rows lo..hi-1 of the neighbor table; its block arrays are freed on
+    return, before the next block allocates."""
+    # imported here, so that network runs do not load scipy.spatial
+    from scipy.spatial.distance import cdist
+    rows = np.arange(hi - lo)
+    d = cdist(x[lo:hi], x)
+    d[rows, rows + lo] = np.inf
+    # the `width` smallest entries of each row, then the smallest entry
+    # left out, at column `width`
+    part = np.argpartition(d, width, axis=1)
+    kept = part[:, :width]
+    near = np.take_along_axis(d, kept, axis=1)
+    order = np.lexsort((kept, near), axis=1)
+    ids = np.take_along_axis(kept, order, axis=1)
+    dists = np.take_along_axis(near, order, axis=1)
+    # where a left-out entry ties the largest kept one, the cut falls
+    # between tied entries; the stable sort keeps the lower ids there
+    tied = np.flatnonzero(near.max(axis=1) == d[rows, part[:, width]])
+    if tied.size:
+        ids[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :width]
+        dists[tied] = np.take_along_axis(d[tied], ids[tied], axis=1)
+    return ids, dists
 
 
 def as_features(f) -> FeatureMatrix:

@@ -32,9 +32,11 @@ clustering chunk selects once per sigma run, or part of one, that it holds.
 Both reuse rules compare a graph with the one before it in the chunk, so
 each pool thread's chunk holds its own reused work.
 
-A grid point whose harmonic system strands a component or is singular
-gives no candidate; when no grid point gives one, generate_candidates
-raises the error of the first skipped point.
+A grid point whose harmonic system strands a component or is singular, or
+needs the dense fallback above DENSE_MAX_NODES, gives no candidate; when no
+grid point gives one, generate_candidates raises the error of the first
+skipped point. A skip keeps only its error's type and message, not its
+traceback, so a skipped point's graph and dense arrays are freed at once.
 """
 
 from __future__ import annotations
@@ -252,8 +254,10 @@ def _ssl_chunk(chunk, build_graphs, labels):
             # a modulated graph may strand unlabeled components, or tie
             # them to the labels only by weights below rounding so the
             # harmonic system is singular; that grid point contributes
-            # no candidate
-            produced = exc
+            # no candidate. A copy of the error with no traceback and no
+            # cause is kept: the original's frames would pin the point's
+            # graph and dense harmonic arrays until the run ends
+            produced = type(exc)(*exc.args)
         out.append((grid_index, params, produced))
     return out
 

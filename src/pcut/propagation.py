@@ -14,7 +14,10 @@ The system is solved in one of two ways:
   smallest LDL^T pivot (the squared diagonal of the factor) is below
   PIVOT_RATIO_MIN times its largest. Dense Cholesky failure raises
   NumericError, so whether a system is singular is decided by the dense
-  path alone.
+  path alone. A graph of more than DENSE_MAX_NODES nodes has no dense
+  fallback: it raises NumericError before allocating, so the engine skips
+  that grid point as it skips a singular one, and only a run whose every
+  point is skipped fails.
 
 What does not depend on the edge weights, a HarmonicPattern holds: the
 component check's outcome, the unlabeled nodes, their band order and the
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, InputError, NumericError
-from .graph import Partition, WeightedGraph, connected_components
+from .graph import (DENSE_MAX_NODES, Partition, WeightedGraph,
+                    connected_components)
 
 PIVOT_RATIO_MIN = 1e-8
 
@@ -215,7 +219,13 @@ def _stranded_component(g: WeightedGraph, nodes) -> str | None:
 
 
 def _dense_harmonic(g: WeightedGraph, nodes, unlabeled, scores):
-    """F_u by dense Cholesky; NumericError when L_uu is not positive definite."""
+    """F_u by dense Cholesky; NumericError when L_uu is not positive definite,
+    or, before any allocation, when g has more than DENSE_MAX_NODES nodes."""
+    if g.n > DENSE_MAX_NODES:
+        raise NumericError(
+            f"harmonic system needs the dense fallback, but dense n x n "
+            f"storage for n = {g.n} nodes exceeds the limit of "
+            f"DENSE_MAX_NODES = {DENSE_MAX_NODES} nodes")
     # imported here, so that importing pcut does not load scipy.linalg
     from scipy.linalg import cho_factor, cho_solve
     w = g.weight_matrix()

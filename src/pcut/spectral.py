@@ -22,10 +22,16 @@ Which eigensolver runs:
   adjacency D^{-1/2} W D^{-1/2}; the L_sym eigenvalues are one minus those.
   The start vector is a fixed Philox draw, so results do not depend on
   ARPACK's own random state.
-- When Lanczos does not converge within _LANCZOS_MAXITER restarts, or an
-  eigenpair fails the residual check against L_sym, the dense path runs
-  instead. Nearly disconnected graphs (RBF weights that underflow at small
-  bandwidths) have nearly repeated eigenvalues and end here.
+- When Lanczos does not converge within its restart cap, or an eigenpair
+  fails the residual check against L_sym, the dense path runs instead.
+  Nearly disconnected graphs (RBF weights that underflow at small
+  bandwidths) have nearly repeated eigenvalues and end here. The cap is
+  _LANCZOS_MAXITER restarts while the subgraph fits DENSE_MAX_NODES, so
+  that the dense path stays at hand, and ten times that above the limit,
+  where the dense path refuses the graph: on a 20 000-node block model
+  (SbmSpec(n=20000, alpha=0.05, p1=0.005, q=0.00075, equalize_degrees=True,
+  seed=0)) the lambda 1.0 graph missed 40 restarts and converged within
+  400, in 0.71 s.
 - Every other case runs dense: a disconnected subgraph, whose repeated
   zero eigenvalue Lanczos can miss; a subgraph at or below the cutoff,
   where dense ``eigh`` is as fast or faster; L = D - W, always; and
@@ -91,7 +97,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ParameterError, check_counts
-from .graph import Partition, WeightedGraph, _dense_weights, connected_components
+from .graph import (DENSE_MAX_NODES, Partition, WeightedGraph, _dense_weights,
+                    connected_components)
 
 VARIANTS = ("rcut_unnormalized", "ncut_normalized", "ncut_rw")
 
@@ -101,7 +108,8 @@ VARIANTS = ("rcut_unnormalized", "ncut_normalized", "ncut_rw")
 # grids (k = 30, seven bandwidths) dense wins below 300 nodes, where the
 # capped failures at small bandwidths cost more than Lanczos saves.
 SPARSE_MIN_NODES = 300
-# ARPACK restarts before Lanczos gives up and the dense path runs. Every
+# ARPACK restarts before Lanczos gives up and the dense path runs, for a
+# subgraph that fits DENSE_MAX_NODES (ten times as many above it). Every
 # graph of the 16 sbm-net instances (n = 1500) converged within 40; nearly
 # disconnected RBF graphs take hundreds to thousands.
 _LANCZOS_MAXITER = 40
@@ -225,7 +233,8 @@ def lanczos_eigenvectors(a, K: int):
     below its order. Same contract as smallest_eigenvectors: ascending
     eigenvalues, the same sign rule, and NumericError when an eigenpair's
     residual against L_sym exceeds 1e-8 * scale or ARPACK does not converge
-    within _LANCZOS_MAXITER restarts.
+    within the restart cap: _LANCZOS_MAXITER when a's order fits
+    DENSE_MAX_NODES, ten times that above it.
     """
     n = a.shape[0]
     if not 1 <= K < n:
@@ -237,8 +246,9 @@ def lanczos_eigenvectors(a, K: int):
     v0 = _rng(_V0_SEED, 0).uniform(-1.0, 1.0, n)
     # imported here, so that runs that stay dense do not load ARPACK
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    maxiter = _LANCZOS_MAXITER * (1 if n <= DENSE_MAX_NODES else 10)
     try:
-        alpha, vecs = eigsh(a, k=K, which="LA", v0=v0, maxiter=_LANCZOS_MAXITER)
+        alpha, vecs = eigsh(a, k=K, which="LA", v0=v0, maxiter=maxiter)
     except ArpackNoConvergence as exc:
         raise NumericError(f"Lanczos did not converge: {exc}") from exc
     order = np.argsort(-alpha, kind="stable")

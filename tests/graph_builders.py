@@ -51,3 +51,13 @@ def full_rbf_graph(f, sigma: float) -> WeightedGraph:
     f = as_features(f)
     iu, iv = np.triu_indices(f.n, 1)
     return _weighted_graph(f.n, iu, iv, pairwise_distances(f)[iu, iv], "rbf", sigma)
+
+
+def reference_neighbors(f, width: int):
+    """FeatureMatrix.neighbors by one full distance matrix and one stable
+    argsort: nearest first, ties to the lower id."""
+    f = as_features(f)
+    d = cdist(f.x, f.x)
+    np.fill_diagonal(d, np.inf)
+    ids = np.argsort(d, axis=1, kind="stable")[:, :width]
+    return ids, np.take_along_axis(d, ids, axis=1)

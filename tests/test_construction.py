@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcut import construction
 from pcut.construction import (FeatureMatrix, avg_knn_distance, baseline_graph,
                                construction_k0, knn_graph, rbf_weight,
                                selection_k0)
 from pcut.errors import InputError, ParameterError
 
 from graph_builders import (adjacency, epsilon_graph, full_rbf_graph,
-                            pairwise_distances)
+                            pairwise_distances, reference_neighbors)
 
 
 def line_points(*xs):
@@ -33,6 +38,88 @@ class TestDistances:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             pairwise_distances(np.array([[0.0], [np.nan]]))
+
+
+def block_table(x, width, block_rows):
+    """FeatureMatrix(x).neighbors(width) with blocks of `block_rows` rows,
+    or of the shipped size when block_rows is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(construction, "_NEIGHBOR_BLOCK_ELEMENTS",
+                       block_rows * len(x))
+        return FeatureMatrix(x).neighbors(width)
+
+
+def assert_reference_table(x, width, block_rows):
+    ids, dists = block_table(x, width, block_rows)
+    want_ids, want_dists = reference_neighbors(x, width)
+    assert np.array_equal(ids, want_ids)
+    assert dists.tobytes() == want_dists.tobytes()
+
+
+_rng = np.random.default_rng(5)
+TABLE_CASES = {
+    "gaussian-600": (_rng.normal(size=(600, 2)), 60),
+    "integer-grid": (np.array([[i, j] for i in range(20) for j in range(15)],
+                              dtype=float), 40),
+    "repeated-points": (np.tile(_rng.integers(0, 5, size=(50, 3)), (6, 1)), 20),
+    # distances between the two signs overflow to inf, and tie the self
+    # distance
+    "huge-coordinates": (_rng.choice([-1e300, 1e300], size=(64, 2)), 32),
+    "full-width-1d": (_rng.integers(0, 10, size=(40, 1)), 39),
+    "gaussian-10d": (_rng.normal(size=(500, 10)), 50),
+}
+
+
+class TestNeighborTable:
+    """The table is built in blocks of rows by partition; it must equal one
+    full stable argsort, ids exactly and distances bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", (None, 1, 7))
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_cases_match_stable_argsort(self, case, block_rows):
+        x, width = TABLE_CASES[case]
+        assert_reference_table(np.asarray(x, dtype=float), width, block_rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 40), d=st.sampled_from((1, 2, 3, 10)),
+           kind=st.sampled_from(("grid", "float", "huge")),
+           block_rows=st.sampled_from((None, 1, 7)), data=st.data())
+    def test_drawn_inputs_match_stable_argsort(self, n, d, kind, block_rows, data):
+        if kind == "grid":  # duplicates and tied distances
+            values = st.integers(-3, 3).map(float)
+        elif kind == "float":
+            values = st.floats(-10.0, 10.0, allow_nan=False)
+        else:
+            values = st.sampled_from((-1e300, -1.0, 0.0, 1.0, 1e300))
+        x = np.array(data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))
+        width = data.draw(st.integers(1, n - 1))
+        assert_reference_table(x, width, block_rows)
+
+    def test_memory_stays_off_n_squared(self):
+        # one 5000 x 5000 distance matrix alone takes 191 MiB, and the build
+        # from it with one full argsort peaked at 393 MiB here
+        x = np.random.default_rng(6).normal(size=(5000, 2))
+        tracemalloc.start()
+        try:
+            FeatureMatrix(x).neighbors(300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    @pytest.mark.slow
+    def test_memory_at_ten_thousand_points(self):
+        # the table itself holds 46 MiB; a 10^4 x 10^4 matrix would be 763
+        x = np.random.default_rng(7).normal(size=(10_000, 2))
+        tracemalloc.start()
+        try:
+            FeatureMatrix(x).neighbors(300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
 
 class TestKnnGraph:

@@ -2,11 +2,13 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcut import engine, spectral
+import pcut
+from pcut import engine, graph, propagation, spectral
 from pcut.engine import (CandidateCut, PCutConfig, generate_candidates, mix_seed,
                          pcut_select)
 from pcut.errors import (NoFeasiblePartitionError, NumericError, ParameterError,
@@ -239,6 +241,57 @@ class TestGenerateCandidates:
         cands = generate_candidates(x, cfg, labels=ls)
         assert [c.sigma for c in cands] == [sigma[-4]]
         assert pcut_select(cands) is cands[0]
+
+    def test_ssl_skips_dense_fallback_above_the_limit(self, monkeypatch):
+        # the graph of the test above, with a dense limit below its 6
+        # nodes: at sigma exponent -4 the banded factor fails its pivot gate
+        # and the dense fallback refuses the graph before allocating, so
+        # that point is skipped, not fatal; at -2 the banded solve serves
+        monkeypatch.setattr(graph, "DENSE_MAX_NODES", 5)
+        monkeypatch.setattr(propagation, "DENSE_MAX_NODES", 5)
+        x = np.array([[0.0, 0], [0.1, 0], [4.0, 0], [4.1, 0], [10.0, 0], [10.1, 0]])
+        ls = LabelSet(labeled=((0, 0), (1, 0), (4, 1), (5, 1)), K=2)
+        cfg = PCutConfig(K=2, task="ssl", modality="similarity", delta=0.1,
+                         lambda_grid=(1.0,), k_grid=(2,),
+                         sigma_exponents=(-4, -2), seed=0)
+        cands = generate_candidates(x, cfg, labels=ls)
+        assert [c.sigma for c in cands] == [2.0 ** -2 * avg_knn_distance(x, 2)]
+        with pytest.raises(NumericError, match=r"n = 6 nodes .* DENSE_MAX_NODES = 5"):
+            generate_candidates(x, dataclasses.replace(cfg, sigma_exponents=(-4,)),
+                                labels=ls)
+
+    def test_skipped_points_keep_only_their_errors(self, monkeypatch):
+        # crescents with 5 labels per class: at sigma exponent -3, 7 of the
+        # 12 points are skipped, 2 for a stranded component and 5 as
+        # singular after a dense fallback (about 100 MiB at n = 2000). A
+        # kept traceback or cause would pin each one's graph and dense
+        # arrays until the run ends: about 580 MiB in all.
+        f, truth = pcut.crescent_dataset(n=2000, noise=0.08, seed=1)
+        ls = LabelSet(tuple((int(v), c) for c in range(3)
+                            for v in np.flatnonzero(truth == c)[:5]), K=3)
+        cfg = PCutConfig(K=3, task="ssl", k_grid=(10, 30), sigma_exponents=(-3,))
+        calls = []
+        real_chunk = engine._ssl_chunk
+
+        def spy(*args, **kwargs):
+            out = real_chunk(*args, **kwargs)
+            calls.extend(item[2] for item in out)
+            return out
+
+        monkeypatch.setattr(engine, "_ssl_chunk", spy)
+        tracemalloc.start()
+        try:
+            cands = generate_candidates(f, cfg, labels=ls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        skips = [p for p in calls if isinstance(p, Exception)]
+        assert len(cands) == 5 and len(skips) == 7
+        assert sum(type(exc) is NumericError for exc in skips) == 5
+        for exc in skips:
+            assert exc.__traceback__ is None
+            assert exc.__cause__ is None and exc.__context__ is None
+        assert peak < 200 * 2**20
 
 
 class TestGridChunks:

@@ -292,3 +292,40 @@ def test_no_convergence_takes_dense_path(graphs, monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     assert_bit_identical(normalized_bundle(g, 2), reference_bundle(g, 2))
+
+
+@pytest.mark.parametrize("limit, cap", ((spectral.DENSE_MAX_NODES, 40), (100, 400)))
+def test_restart_cap_grows_where_dense_is_refused(graphs, monkeypatch, limit, cap):
+    # 40 restarts while the dense path can take the graph over; ten times
+    # as many once the subgraph is above DENSE_MAX_NODES
+    g = graphs["sbm800"]
+    caps = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs["maxiter"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    monkeypatch.setattr(spectral, "DENSE_MAX_NODES", limit)
+    active, deg, u, v, w = _active_edges(g)
+    lanczos_eigenvectors(normalized_adjacency(active.size, u, v, w, deg), 4)
+    assert caps == [cap]
+
+
+@pytest.mark.slow
+def test_large_network_converges_without_dense_path():
+    # the lambda 1.0 graph of a 20 000-node block model misses 40 restarts;
+    # dense storage is refused at this size, so only the larger cap gives
+    # it a bundle (in about 0.7 s)
+    from pcut.ranking import common_neighbor_counts, eta_connectivity
+    from pcut.rmd import rmd_connectivity_family
+    g, _ = pcut.sbm_generate(pcut.SbmSpec(n=20_000, alpha=0.05, p1=0.005, q=0.00075,
+                                          equalize_degrees=True, seed=0))
+    counts = common_neighbor_counts(g)
+    ranks = rank(eta_connectivity(g, counts=counts))
+    h = rmd_connectivity_family(g, ranks, counts=counts)(1.0)
+    assert h.n > pcut.graph.DENSE_MAX_NODES and connected_components(h).K == 1
+    bundle = normalized_bundle(h, 2)
+    assert bundle["vecs"].shape == (h.n, 4)
+    assert abs(bundle["vals"][0]) < 1e-12 < bundle["vals"][1]
