@@ -123,8 +123,9 @@ def _neighbor_rows(x, lo: int, hi: int, width: int):
     # between tied entries; the stable sort keeps the lower ids there
     tied = np.flatnonzero(near.max(axis=1) == d[rows, part[:, width]])
     if tied.size:
-        ids[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :width]
-        dists[tied] = np.take_along_axis(d[tied], ids[tied], axis=1)
+        d = d[tied]
+        full = np.argsort(d, axis=1, kind="stable")[:, :width]
+        ids[tied], dists[tied] = full, np.take_along_axis(d, full, axis=1)
     return ids, dists
 
 

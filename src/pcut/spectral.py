@@ -31,7 +31,7 @@ Which eigensolver runs:
   where the dense path refuses the graph: on a 20 000-node block model
   (SbmSpec(n=20000, alpha=0.05, p1=0.005, q=0.00075, equalize_degrees=True,
   seed=0)) the lambda 1.0 graph missed 40 restarts and converged within
-  400, in 0.71 s.
+  400, in about 0.7 s.
 - Every other case runs dense: a disconnected subgraph, whose repeated
   zero eigenvalue Lanczos can miss; a subgraph at or below the cutoff,
   where dense ``eigh`` is as fast or faster; L = D - W, always; and

@@ -56,8 +56,7 @@ def full_rbf_graph(f, sigma: float) -> WeightedGraph:
 def reference_neighbors(f, width: int):
     """FeatureMatrix.neighbors by one full distance matrix and one stable
     argsort: nearest first, ties to the lower id."""
-    f = as_features(f)
-    d = cdist(f.x, f.x)
+    d = pairwise_distances(f)
     np.fill_diagonal(d, np.inf)
     ids = np.argsort(d, axis=1, kind="stable")[:, :width]
     return ids, np.take_along_axis(d, ids, axis=1)

@@ -97,29 +97,20 @@ class TestNeighborTable:
         width = data.draw(st.integers(1, n - 1))
         assert_reference_table(x, width, block_rows)
 
-    def test_memory_stays_off_n_squared(self):
-        # one 5000 x 5000 distance matrix alone takes 191 MiB, and the build
-        # from it with one full argsort peaked at 393 MiB here
-        x = np.random.default_rng(6).normal(size=(5000, 2))
+    @pytest.mark.parametrize("n, bound_mib", (
+        (5000, 100), pytest.param(10_000, 128, marks=pytest.mark.slow)))
+    def test_memory_stays_off_n_squared(self, n, bound_mib):
+        # at n = 5000 one distance matrix alone takes 191 MiB, and the build
+        # from it with one full argsort peaked at 393 MiB; at n = 10^4 the
+        # table itself holds 46 MiB
+        x = np.random.default_rng(6).normal(size=(n, 2))
         tracemalloc.start()
         try:
             FeatureMatrix(x).neighbors(300)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2**20
-
-    @pytest.mark.slow
-    def test_memory_at_ten_thousand_points(self):
-        # the table itself holds 46 MiB; a 10^4 x 10^4 matrix would be 763
-        x = np.random.default_rng(7).normal(size=(10_000, 2))
-        tracemalloc.start()
-        try:
-            FeatureMatrix(x).neighbors(300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert peak < bound_mib * 2**20
 
 
 class TestKnnGraph:

@@ -18,8 +18,9 @@ from pcut.errors import NumericError
 from pcut.construction import as_features, avg_knn_distance, baseline_graph
 from pcut.experiments import load_bundled_network
 from pcut.graph import Partition, WeightedGraph, connected_components, cut_value
-from pcut.ranking import eta_similarity, rank
-from pcut.rmd import rmd_similarity_graph
+from pcut.ranking import (common_neighbor_counts, eta_connectivity,
+                          eta_similarity, rank)
+from pcut.rmd import rmd_connectivity_family, rmd_similarity_graph
 from pcut.spectral import (SPARSE_MIN_NODES, _active_edges, _embedding_rows,
                            kmeans, laplacian, lanczos_eigenvectors,
                            normalized_adjacency, normalized_bundle,
@@ -318,8 +319,6 @@ def test_large_network_converges_without_dense_path():
     # the lambda 1.0 graph of a 20 000-node block model misses 40 restarts;
     # dense storage is refused at this size, so only the larger cap gives
     # it a bundle (in about 0.7 s)
-    from pcut.ranking import common_neighbor_counts, eta_connectivity
-    from pcut.rmd import rmd_connectivity_family
     g, _ = pcut.sbm_generate(pcut.SbmSpec(n=20_000, alpha=0.05, p1=0.005, q=0.00075,
                                           equalize_degrees=True, seed=0))
     counts = common_neighbor_counts(g)
