@@ -11,9 +11,11 @@ array is ever formed:
 - argpartition keeps each row's `width` smallest entries, and lexsort
   orders them by (distance, id);
 - a row where an entry left out ties the largest kept distance is cut
-  between tied entries; only such rows (duplicate points, integer grids,
-  distances that overflow to inf) fall back to a stable argsort of the
-  whole row.
+  between tied entries; only such rows (duplicate points, integer grids)
+  fall back to a stable argsort of the whole row.
+
+FeatureMatrix refuses coordinates whose squared distances could overflow,
+so every distance but the self-distance is finite.
 
 The table equals one full stable argsort, ids exactly and distances bit for
 bit, since each distance is cdist's own (tests/test_construction.py). On a
@@ -59,6 +61,14 @@ class FeatureMatrix:
             raise InputError("feature matrix needs at least two samples")
         if not np.isfinite(x).all():
             raise InputError("feature matrix contains non-finite values")
+        # the sum over columns of squared spans bounds every pairwise squared
+        # distance, so a finite sum keeps cdist and eta_similarity finite
+        with np.errstate(over="ignore"):
+            span = x.max(axis=0) - x.min(axis=0)
+            bound = (span * span).sum()
+        if not np.isfinite(bound):
+            raise InputError("feature coordinates span too wide a range: "
+                             "squared distances overflow")
 
     @property
     def n(self) -> int:
@@ -129,6 +139,12 @@ def _neighbor_rows(x, lo: int, hi: int, width: int):
     return ids, dists
 
 
+def _round_half_up(x):
+    """floor(x + 0.5): an int for a scalar x, an int64 array for an array."""
+    out = np.floor(np.asarray(x, dtype=float) + 0.5).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
+
+
 def as_features(f) -> FeatureMatrix:
     if isinstance(f, FeatureMatrix):
         return f
@@ -136,8 +152,11 @@ def as_features(f) -> FeatureMatrix:
 
 
 def rbf_weight(dist, sigma: float):
-    """exp(-dist^2 / (2 sigma^2)); lies in (0, 1] and decreases in dist."""
-    if sigma <= 0:
+    """exp(-dist^2 / (2 sigma^2)); lies in (0, 1] and decreases in dist.
+
+    An infinite sigma gives the unit weights; None or NaN is refused.
+    """
+    if sigma is None or not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     dist = np.asarray(dist, dtype=float)
     return np.exp(-(dist * dist) / (2.0 * sigma * sigma))
@@ -176,28 +195,31 @@ def _weighted_graph(n, u, v, dist, weights, sigma) -> WeightedGraph:
     raise ParameterError(f"unknown weighting {weights!r}")
 
 
-def knn_graph(f, k: int, weights: str = "unit", sigma: float | None = None) -> WeightedGraph:
-    """k-nearest-neighbor graph, union-symmetrized."""
+def _k_nearest(f, k: int):
+    """(features, ids, dists): f as a FeatureMatrix and the first k columns
+    of its neighbor table."""
     f = as_features(f)
     if not 1 <= k < f.n:
         raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={f.n}")
-    ids, dists = f.neighbors(k)
+    return f, *f.neighbors(k)
+
+
+def knn_graph(f, k: int, weights: str = "unit", sigma: float | None = None) -> WeightedGraph:
+    """k-nearest-neighbor graph, union-symmetrized."""
+    f, ids, dists = _k_nearest(f, k)
     u, v, dist = _edges_from_selection(ids, dists, np.full(f.n, k))
     return _weighted_graph(f.n, u, v, dist, weights, sigma)
 
 
 def avg_knn_distance(f, k: int) -> float:
     """Mean over all nodes of the distance to the k-th nearest neighbor."""
-    f = as_features(f)
-    if not 1 <= k < f.n:
-        raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={f.n}")
-    _, dists = f.neighbors(k)
+    _, _, dists = _k_nearest(f, k)
     return float(dists[:, k - 1].mean())
 
 
 def construction_k0(n: int) -> int:
     """Neighbor count for the rank-stage baseline graph: round(sqrt(n))."""
-    return max(1, min(int(np.floor(np.sqrt(n) + 0.5)), n - 1))
+    return max(1, min(_round_half_up(np.sqrt(n)), n - 1))
 
 
 def selection_k0(n: int) -> int:

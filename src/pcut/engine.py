@@ -187,17 +187,13 @@ class CandidateCut:
                 "generator": self.generator}
 
 
-def _feasible(min_size: int, delta: float, n: int) -> bool:
-    return min_size > delta * n
-
-
 def _candidate(partition, lam, k, sigma, generator, cfg, n, baseline, index):
     sizes = partition.sizes()
     min_size = int(sizes.min())
     cut = cut_value(baseline, partition)
     return CandidateCut(
         partition=partition, lam=lam, k=k, sigma=sigma, generator=generator,
-        feasible=_feasible(min_size, cfg.delta, n),
+        feasible=min_size > cfg.delta * n,
         min_cluster_size=min_size, baseline_cut=cut,
         normalized_cut=cut / baseline.m if baseline.m else 0.0,
         index=index)

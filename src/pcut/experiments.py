@@ -81,6 +81,16 @@ def _err(partition, truth) -> float:
     return clustering_error(partition, truth).error_rate
 
 
+# a preset's error statistics, in its CSV's column order (_error_stats)
+_ERROR_COLUMNS = ("mean_sc_error", "std_sc_error", "mean_pcut_error", "std_pcut_error")
+
+
+def _error_stats(sc_errors, pc_errors) -> tuple:
+    """Mean and standard deviation of each error list, as _ERROR_COLUMNS."""
+    return tuple(float(stat(e)) for e in (sc_errors, pc_errors)
+                 for stat in (np.mean, np.std))
+
+
 def _write_csv(out_dir, name, header, rows):
     """Write out_dir/name; a run without out_dir writes nothing."""
     if out_dir is None:
@@ -164,19 +174,17 @@ def run_sbm_alpha_sweep(out_dir=None, n_seeds=SBM_SEEDS):
             truth, _, selected, plain = _sbm_trial(alpha, q, 0.9 * alpha, seed)
             sc_errors.append(_err(plain.partition, truth))
             pc_errors.append(_err(selected.partition, truth))
-        mean_sc = float(np.mean(sc_errors))
-        mean_pc = float(np.mean(pc_errors))
+        stats = _error_stats(sc_errors, pc_errors)
+        mean_sc, mean_pc = stats[0], stats[2]
         if mean_sc == 0.0:
             ratio = 1.0 if mean_pc == 0.0 else float("inf")
         else:
             ratio = mean_pc / mean_sc
         per_alpha[alpha] = {"mean_sc_error": mean_sc, "mean_pcut_error": mean_pc,
                             "error_ratio": ratio, "q": q}
-        rows.append((alpha, q, mean_sc, float(np.std(sc_errors)),
-                     mean_pc, float(np.std(pc_errors)), ratio))
+        rows.append((alpha, q, *stats, ratio))
     _write_csv(out_dir, "sbm_alpha_sweep.csv",
-               ["alpha", "q", "mean_sc_error", "std_sc_error",
-                "mean_pcut_error", "std_pcut_error", "error_ratio"], rows)
+               ["alpha", "q", *_ERROR_COLUMNS, "error_ratio"], rows)
     return {
         "experiment": "sbm-alpha-sweep",
         "n": SBM_N, "p1": SBM_P1, "n_seeds": n_seeds, "base_seed": SBM_BASE_SEED,
@@ -253,17 +261,9 @@ def run_dolphins(out_dir=None, n_samplings=DOLPHINS_SAMPLINGS):
                 seed=DOLPHINS_BASE_SEED + samp)
             sc_errors.append(_err(plain.partition, truth_obs))
             pc_errors.append(_err(selected.partition, truth_obs))
-        # in the CSV's column order
-        per_removal[r] = {
-            "mean_sc_error": float(np.mean(sc_errors)),
-            "std_sc_error": float(np.std(sc_errors)),
-            "mean_pcut_error": float(np.mean(pc_errors)),
-            "std_pcut_error": float(np.std(pc_errors)),
-        }
+        per_removal[r] = dict(zip(_ERROR_COLUMNS, _error_stats(sc_errors, pc_errors)))
         rows.append((r, *per_removal[r].values()))
-    _write_csv(out_dir, "dolphins.csv",
-               ["removed", "mean_sc_error", "std_sc_error",
-                "mean_pcut_error", "std_pcut_error"], rows)
+    _write_csv(out_dir, "dolphins.csv", ["removed", *_ERROR_COLUMNS], rows)
     return {"experiment": "dolphins", "removals": list(DOLPHINS_REMOVALS),
             "n_samplings": n_samplings, "delta": DOLPHINS_DELTA,
             "base_seed": DOLPHINS_BASE_SEED, "per_removal": per_removal}

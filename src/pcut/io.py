@@ -64,6 +64,14 @@ def write_edge_list(path, g: WeightedGraph) -> None:
                 fh.write(f"{u} {v} {w!r}\n")
 
 
+def _csv_rows(path):
+    """(row number, row) of each CSV row of path with a non-blank cell."""
+    with open(path) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if any(c.strip() for c in row):
+                yield lineno, row
+
+
 def read_features_csv(path) -> np.ndarray:
     """Read one sample per row of comma-separated reals.
 
@@ -71,23 +79,19 @@ def read_features_csv(path) -> np.ndarray:
     """
     rows = []
     width = None
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                vals = [float(c) for c in row]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise InputError(f"{path}:{lineno}: non-numeric value in {row}")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise InputError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(vals)}")
-            rows.append(vals)
+    for lineno, row in _csv_rows(path):
+        try:
+            vals = [float(c) for c in row]
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise InputError(f"{path}:{lineno}: non-numeric value in {row}")
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise InputError(
+                f"{path}:{lineno}: expected {width} columns, got {len(vals)}")
+        rows.append(vals)
     if not rows:
         raise InputError(f"{path}: no feature rows found")
     x = np.asarray(rows, dtype=np.float64)
@@ -106,20 +110,16 @@ def write_features_csv(path, x: np.ndarray) -> None:
 def read_labels_csv(path) -> dict[int, int]:
     """Read "node_id,class" rows into a mapping; a header row is skipped."""
     out = {}
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
+    for lineno, row in _csv_rows(path):
+        try:
+            node, cls = int(row[0]), int(row[1])
+        except (ValueError, IndexError):
+            if lineno == 1:
                 continue
-            try:
-                node, cls = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                if lineno == 1:
-                    continue
-                raise InputError(f"{path}:{lineno}: expected 'node_id,class'")
-            if node in out:
-                raise InputError(f"{path}:{lineno}: duplicate label for node {node}")
-            out[node] = cls
+            raise InputError(f"{path}:{lineno}: expected 'node_id,class'")
+        if node in out:
+            raise InputError(f"{path}:{lineno}: duplicate label for node {node}")
+        out[node] = cls
     if not out:
         raise InputError(f"{path}: no labels found")
     return out

@@ -17,18 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construction import as_features, _edges_from_selection, _weighted_graph
+from .construction import (as_features, _edges_from_selection, _round_half_up,
+                           _weighted_graph)
 from .errors import ParameterError
 from .graph import WeightedGraph
 from .ranking import common_neighbor_counts
-
-
-def _round_half_up(x):
-    return np.floor(x + 0.5).astype(np.int64)
-
-
-def _scalar_or_array(out: np.ndarray):
-    return int(out) if out.ndim == 0 else out
 
 
 def _check_lambda(lam: float) -> None:
@@ -50,7 +43,8 @@ def modulated_k(k: int, lam: float, r, n_nodes: int):
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     raw = k * (lam + 2.0 * (1.0 - lam) * r)
-    return _scalar_or_array(np.maximum(1, np.minimum(_round_half_up(raw), n_nodes - 1)))
+    # clamped before rounding, which is monotone and keeps integers
+    return _round_half_up(np.maximum(1, np.minimum(raw, n_nodes - 1)))
 
 
 def rmd_similarity_edges(f, ranks, lam: float, k: int):
@@ -90,8 +84,7 @@ def degree_target(d, lam: float, r):
     """
     d = np.asarray(d)
     raw = d * (lam + (1.0 - lam) * np.asarray(r, dtype=float))
-    kept = np.maximum(1, np.minimum(_round_half_up(raw), d))
-    return _scalar_or_array(np.where(d <= 0, 0, kept))
+    return _round_half_up(np.where(d <= 0, 0, np.maximum(1, np.minimum(raw, d))))
 
 
 def rmd_connectivity_family(g: WeightedGraph, ranks,

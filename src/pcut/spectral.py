@@ -572,12 +572,9 @@ def _winners(points: np.ndarray, labels: np.ndarray, K: int, step: int) -> np.nd
     P, R, n = labels.shape
     keys = _first_occurrence_labels(labels.reshape(-1, n), K).reshape(P, R, n)
     # the earliest restart with each row's partition, from one comparison of
-    # every pair of restarts per slice of problems; a slice's R * R * n
-    # booleans fit one batch, or hold one problem
-    per = max(1, _KMEANS_BATCH_ELEMENTS // (R * R * n))
-    first = np.concatenate([
-        (keys[lo:lo + per, :, None] == keys[lo:lo + per, None]).all(axis=3).argmax(axis=2)
-        for lo in range(0, P, per)])
+    # every pair of restarts: its P * R * R * n booleans take R / 8 of the
+    # bytes of the int64 labels
+    first = (keys[:, :, None] == keys[:, None]).all(axis=3).argmax(axis=2)
     contender = first == np.arange(R)
     contender &= (contender.sum(axis=1) > 1)[:, None]
     p, r = np.nonzero(contender)

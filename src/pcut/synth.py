@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import FeatureMatrix
+from .construction import FeatureMatrix, _round_half_up
 from .errors import ParameterError, check_counts
 from .graph import Partition, WeightedGraph
-from .spectral import philox_key
+from .spectral import _rng
 
 # Crescent geometry constants, echoed in experiment reports.
 CRESCENT_RADIUS = 1.0
@@ -37,12 +37,17 @@ def _purpose_key(purpose: str) -> int:
 
 def stream(seed: int, purpose: str) -> np.random.Generator:
     """Deterministic generator for a (seed, purpose) pair."""
-    key = philox_key(seed, _purpose_key(purpose))
-    return np.random.Generator(np.random.Philox(key=key))
+    return _rng(seed, _purpose_key(purpose))
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+def _check_block_model(alpha: float, **probabilities) -> None:
+    """Raise ParameterError unless alpha lies in (0, 0.5] and each named
+    probability in [0, 1]."""
+    if not 0.0 < alpha <= 0.5:
+        raise ParameterError(f"alpha must lie in (0, 0.5], got {alpha}")
+    for name, v in probabilities.items():
+        if not 0.0 <= v <= 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,7 @@ class SbmSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 0.5:
-            raise ParameterError(f"alpha must lie in (0, 0.5], got {self.alpha}")
-        for name in ("p1", "p2", "q"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+        _check_block_model(self.alpha, p1=self.p1, p2=self.p2, q=self.q)
         if self.n1 < 1:
             raise ParameterError("alpha * n rounds to an empty block")
 
@@ -126,11 +126,7 @@ def sbm_bounds(alpha: float, p1: float, p2: float):
     Below q_LB spectral clustering recovers the blocks asymptotically; above
     q_UB it fails; q_LB <= q_UB always, with equality at alpha = 0.5.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ParameterError(f"alpha must lie in (0, 0.5], got {alpha}")
-    for name, v in (("p1", p1), ("p2", p2)):
-        if not 0.0 <= v <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+    _check_block_model(alpha, p1=p1, p2=p2)
     a, b = alpha * p1, (1.0 - alpha) * p2
     numerator = a + b - abs(a - b)
     return numerator / (2.0 * (1.0 - alpha)), numerator / (2.0 * alpha)
@@ -188,25 +184,29 @@ def crescent_dataset(n: int, fractions=(0.45, 0.45, 0.10), noise: float = 0.08,
     if min(n1, n2, n3) < 1:
         raise ParameterError("each cluster needs at least one sample")
     rng = stream(seed, "crescents")
-    theta1 = rng.uniform(0.0, np.pi, n1)
-    r1 = CRESCENT_RADIUS + rng.standard_normal(n1) * noise
-    arc1 = np.column_stack([r1 * np.cos(theta1), r1 * np.sin(theta1)])
-    theta2 = rng.uniform(0.0, np.pi, n2)
-    r2 = CRESCENT_RADIUS + rng.standard_normal(n2) * noise
-    arc2 = np.column_stack([CRESCENT_RADIUS - r2 * np.cos(theta2),
-                            CRESCENT_VERTICAL_OFFSET - r2 * np.sin(theta2)])
+    # a radius that overflows is refused by FeatureMatrix as non-finite
+    with np.errstate(over="ignore"):
+        theta1 = rng.uniform(0.0, np.pi, n1)
+        r1 = CRESCENT_RADIUS + rng.standard_normal(n1) * noise
+        arc1 = np.column_stack([r1 * np.cos(theta1), r1 * np.sin(theta1)])
+        theta2 = rng.uniform(0.0, np.pi, n2)
+        r2 = CRESCENT_RADIUS + rng.standard_normal(n2) * noise
+        arc2 = np.column_stack([CRESCENT_RADIUS - r2 * np.cos(theta2),
+                                CRESCENT_VERTICAL_OFFSET - r2 * np.sin(theta2)])
     center = np.asarray(CRESCENT_BLOB_CENTER)
     blob = center[None, :] + rng.standard_normal((n3, 2)) * CRESCENT_BLOB_STD
-    arcs = np.vstack([arc1, arc2])
+    # FeatureMatrix refuses coordinates whose squares overflow before the
+    # clearance check squares them
+    f = FeatureMatrix(np.vstack([arc1, arc2, blob]))
+    arcs = f.x[:n1 + n2]
     nearest = float(np.sqrt(((arcs - center[None, :]) ** 2).sum(axis=1)).min())
     if nearest < 3.0 * CRESCENT_BLOB_STD:
         raise ParameterError(
             f"noise {noise} pushes arc points within 3 blob sigmas of the blob")
-    x = np.vstack([arc1, arc2, blob])
     labels = np.concatenate([np.zeros(n1, dtype=np.int64),
                              np.ones(n2, dtype=np.int64),
                              np.full(n3, 2, dtype=np.int64)])
-    return FeatureMatrix(x), labels
+    return f, labels
 
 
 def crescent_constants() -> dict:

@@ -53,10 +53,11 @@ def full_rbf_graph(f, sigma: float) -> WeightedGraph:
     return _weighted_graph(f.n, iu, iv, pairwise_distances(f)[iu, iv], "rbf", sigma)
 
 
-def reference_neighbors(f, width: int):
+def reference_neighbors(x, width: int):
     """FeatureMatrix.neighbors by one full distance matrix and one stable
-    argsort: nearest first, ties to the lower id."""
-    d = pairwise_distances(f)
+    argsort: nearest first, ties to the lower id. It takes a plain array,
+    so it also orders points that FeatureMatrix refuses."""
+    d = cdist(x, x)
     np.fill_diagonal(d, np.inf)
     ids = np.argsort(d, axis=1, kind="stable")[:, :width]
     return ids, np.take_along_axis(d, ids, axis=1)

@@ -86,6 +86,20 @@ class TestClusterCommand:
             "error: need at least K=1000000000000 nodes, got 12\n")
         assert not out.exists()
 
+    def test_overflowing_features_exit_1(self, tmp_path, capsys):
+        # these distances once overflowed to inf, and the run blamed a
+        # self-loop in the input
+        write_features_csv(tmp_path / "f.csv", [[-1e300, 0], [1e300, 0],
+                                                [-1e300, 1], [1e300, 1], [0, 0]])
+        out = tmp_path / "o"
+        code = main(["cluster", "--features", str(tmp_path / "f.csv"), "--k", "2",
+                     "--k-grid", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: feature coordinates span too wide a range: "
+            "squared distances overflow\n")
+        assert not out.exists()
+
     def test_no_feasible_exits_2(self, tmp_path):
         path, _ = two_cliques_file(tmp_path, size=3)
         code = main(["cluster", "--graph", str(path), "--k", "2",
@@ -430,6 +444,21 @@ class TestSynthAndEval:
         out = tmp_path / "s"
         assert main(["synth", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["crescents", "--n", "50", "--noise", "1e200"],
+        ["mixture", "--n", "50", "--weights", "0.5,0.5", "--mean", "-1e300",
+         "--mean", "1e300", "--cov", "1", "--cov", "1"],
+    ], ids=["crescents-noise", "mixture-means"])
+    def test_huge_coordinates_write_nothing(self, argv, tmp_path, capsys):
+        # refused before anything squares them, so numpy warns of no overflow
+        out = tmp_path / "s"
+        assert main(["synth", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: feature coordinates span too wide a range: "
+            "squared distances overflow\n")
         assert not out.exists()
 
     def test_eval_refuses_a_matching_it_cannot_hold(self, tmp_path, capsys):

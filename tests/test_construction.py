@@ -10,6 +10,7 @@ from pcut.construction import (FeatureMatrix, avg_knn_distance, baseline_graph,
                                construction_k0, knn_graph, rbf_weight,
                                selection_k0)
 from pcut.errors import InputError, ParameterError
+from pcut.rmd import rmd_similarity_graph
 
 from graph_builders import (adjacency, epsilon_graph, full_rbf_graph,
                             pairwise_distances, reference_neighbors)
@@ -41,13 +42,15 @@ class TestDistances:
 
 
 def block_table(x, width, block_rows):
-    """FeatureMatrix(x).neighbors(width) with blocks of `block_rows` rows,
-    or of the shipped size when block_rows is None."""
+    """The table of FeatureMatrix(x).neighbors(width) with blocks of
+    `block_rows` rows, or of the shipped size when block_rows is None. It is
+    built without FeatureMatrix, so the tie rule is also tested on points
+    that FeatureMatrix refuses, whose distances overflow to inf."""
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(construction, "_NEIGHBOR_BLOCK_ELEMENTS",
                        block_rows * len(x))
-        return FeatureMatrix(x).neighbors(width)
+        return construction._neighbor_table(x, width)
 
 
 def assert_reference_table(x, width, block_rows):
@@ -113,6 +116,24 @@ class TestNeighborTable:
         assert peak < bound_mib * 2**20
 
 
+class TestCoordinateSpan:
+    """FeatureMatrix refuses coordinates whose squared distances overflow."""
+
+    def test_overflowing_squared_distances_rejected(self):
+        # distances across the sign change overflow to inf and tie the self
+        # distance; knn_graph once took this for a self-loop in the input
+        x = [[-1e300, 0], [1e300, 0], [-1e300, 1], [1e300, 1], [0, 0]]
+        with pytest.raises(InputError, match="^feature coordinates span too wide "
+                                             "a range: squared distances overflow$"):
+            FeatureMatrix(x)
+
+    def test_wide_finite_span_builds_a_table(self):
+        x = [[-1e150, 0], [1e150, 0], [-1e150, 1e150], [1e150, -1e150], [0, 0]]
+        ids, dists = FeatureMatrix(x).neighbors(4)
+        assert (ids != np.arange(5)[:, None]).all()
+        assert np.isfinite(dists).all()
+
+
 class TestKnnGraph:
     def test_two_points(self):
         g = knn_graph(line_points(0, 1), k=1)
@@ -124,6 +145,22 @@ class TestKnnGraph:
         w = rbf_weight(d, 0.7)
         assert np.all(np.diff(w) < 0)
         assert np.all((w > 0) & (w <= 1))
+
+    @pytest.mark.parametrize("sigma", [None, float("nan")], ids=["none", "nan"])
+    @pytest.mark.parametrize("build", [
+        lambda x, sigma: knn_graph(x, 3, weights="rbf", sigma=sigma),
+        lambda x, sigma: rmd_similarity_graph(x, np.full(len(x), 0.5), 0.5, 3,
+                                              weights="rbf", sigma=sigma),
+    ], ids=["knn", "rmd"])
+    def test_rbf_needs_a_usable_sigma(self, build, sigma):
+        x = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(ParameterError, match=f"^sigma must be positive, got {sigma}$"):
+            build(x, sigma)
+
+    def test_infinite_sigma_gives_unit_weights(self):
+        x = np.random.default_rng(3).normal(size=(20, 2))
+        assert (list(knn_graph(x, 3, weights="rbf", sigma=np.inf).edges())
+                == list(knn_graph(x, 3).edges()))
 
     def test_collinear_union_symmetrization(self):
         # nearest neighbors: 0->1, 1->0 or 2 (tie broken to 0), 2->1, 3->2

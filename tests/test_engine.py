@@ -294,6 +294,28 @@ class TestGenerateCandidates:
         assert peak < 200 * 2**20
 
 
+@pytest.mark.slow
+def test_each_worker_holds_one_dense_bundle():
+    # a dense bundle of n nodes peaks at about 3 n^2 float64, and each
+    # worker runs one bundle at a time; an added n x n copy, or more bundles
+    # at once than workers, breaks these bounds (measured: 3.02 and 6.13 n^2)
+    n = 2048
+    g, _ = pcut.sbm_generate(pcut.SbmSpec(n=n, alpha=0.25, p1=0.05, q=0.01, seed=0))
+    assert graph.connected_components(g).K == 1
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (8 * n * n)
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: spectral.spectral_bundle(g, 3, True)) <= 3.2
+    cfg = PCutConfig(K=3, modality="connectivity", lambda_grid=(0.5, 1.0), workers=2)
+    assert peak(lambda: generate_candidates(g, cfg)) <= 6.4
+
+
 class TestGridChunks:
     """The spectral stage runs the grid in chunks of consecutive points."""
 
